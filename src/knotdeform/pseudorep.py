@@ -545,8 +545,7 @@ def random_sl2(rng, ring):
     from .words import SL2Matrix
 
     if ring.is_finite:
-        pool = list(ring.elements())
-        draw = lambda: pool[rng.randrange(len(pool))]  # noqa: E731
+        draw = lambda: ring.element_at(rng.randrange(ring.order))  # noqa: E731
     else:
         draw = lambda: ring.from_int(rng.randint(-5, 5))  # noqa: E731
     while True:
@@ -577,8 +576,8 @@ def mutate_table(rng, table):
     i = rng.randrange(len(table.wordset))
     ring = table.ring
     if ring.is_finite:
-        pool = [e for e in ring.elements() if not e.is_zero()]
-        delta = pool[rng.randrange(len(pool))]
+        # element 0 is zero in every finite ring
+        delta = ring.element_at(1 + rng.randrange(ring.order - 1))
     else:
         delta = ring.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
     return table.with_value(i, table.values[i] + delta)

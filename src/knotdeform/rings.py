@@ -20,7 +20,7 @@ machinery and the square roots used by the deformation matrices.
 """
 
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from .errors import (
     CharacteristicTwo,
@@ -36,7 +36,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond desk scale."""
+    """Miller-Rabin with the twelve prime bases 2 .. 37.
+
+    Deterministic only for n < 318665857834031151167461 (about 3.2 * 10^23,
+    Sorenson and Webster 2015): that number is composite, a strong
+    pseudoprime to all twelve bases, and is reported prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -57,6 +62,60 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def _pack(values, width):
+    """Kronecker packing: sum of values[i] * 256^(width * i), values >= 0."""
+    return int.from_bytes(
+        b"".join([v.to_bytes(width, "little") for v in values]), "little"
+    )
+
+
+def _slots(packed, width, n):
+    """The first n width-byte slots of a packed product, as ints."""
+    size = max(n * width, (packed.bit_length() + 7) // 8)
+    buf = packed.to_bytes(size, "little")
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+
+
+def _kronecker_mod(a, b, n, m):
+    """First n coefficients of the product of two lists of residues mod m.
+
+    A product coefficient is a sum of at most min(len(a), len(b)) terms
+    below m^2, so slots of 2 bits(m) + bits(min length) bits never carry
+    into each other.
+    """
+    width = (2 * m.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    pa = _pack(a, width)
+    pb = pa if b is a else _pack(b, width)
+    return [c % m for c in _slots(pa * pb, width, n)]
+
+
+def _kronecker_signed(a, b, n):
+    """First n coefficients of the product of two lists of integers.
+
+    Each slot holds a value shifted by half its range, so signed values pack
+    and unpack without borrows; one slot bit beyond the magnitude bound
+    holds the sign.
+    """
+    bits = (
+        max(abs(v) for v in a).bit_length()
+        + max(abs(v) for v in b).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    offset = b"\0" * (width - 1) + b"\x80"
+
+    def pack(values):
+        return _pack([v + half for v in values], width) - int.from_bytes(
+            offset * len(values), "little"
+        )
+
+    length = max(n, len(a) + len(b) - 1)
+    packed = pack(a) * pack(b) + int.from_bytes(offset * length, "little")
+    return [c - half for c in _slots(packed, width, n)]
 
 
 class RingElement:
@@ -109,9 +168,14 @@ class RingElement:
         if not isinstance(k, int):
             return NotImplemented
         base = self.inverse() if k < 0 else self
+        k = abs(k)
         result = self.ring.one()
-        for _ in range(abs(k)):
-            result = result * base
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -164,6 +228,7 @@ class Ring:
     is_domain = False
     is_finite = False
     is_local = False
+    order = None  # element count of a finite ring
 
     def __call__(self, value):
         return RingElement(self, self._canonical(value))
@@ -175,7 +240,10 @@ class Ring:
         return self.from_int(1)
 
     def elements(self):
-        raise InfiniteRing(f"{self} is not finite")
+        """Every element, in the order that element_at indexes."""
+        if not self.is_finite:
+            raise InfiniteRing(f"{self} is not finite")
+        return (self.element_at(i) for i in range(self.order))
 
     def residue(self, a):
         raise NotLocalRing(f"{self} has no residue map")
@@ -211,6 +279,16 @@ class Rationals(Ring):
 
     def _mul(self, a, b):
         return a * b
+
+    def _poly_mul(self, a, b, n):
+        """First n coefficients of a * b: one integer product over the
+        common denominator, one division at the end."""
+        da = lcm(*(v.denominator for v in a))
+        db = lcm(*(v.denominator for v in b))
+        ia = [v.numerator * (da // v.denominator) for v in a]
+        ib = [v.numerator * (db // v.denominator) for v in b]
+        d = da * db
+        return [Fraction(c, d) for c in _kronecker_signed(ia, ib, n)]
 
     def _inv(self, a):
         if a == 0:
@@ -258,6 +336,7 @@ class PrimeField(Ring):
         _check_odd_prime(p)
         self.p = p
         self.char = p
+        self.order = p
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -278,6 +357,10 @@ class PrimeField(Ring):
     def _mul(self, a, b):
         return a * b % self.p
 
+    def _poly_mul(self, a, b, n):
+        """First n coefficients of a * b."""
+        return _kronecker_mod(a, b, n, self.p)
+
     def _inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("0 is not a unit")
@@ -286,8 +369,8 @@ class PrimeField(Ring):
     def _is_unit(self, a):
         return a % self.p != 0
 
-    def elements(self):
-        return (RingElement(self, v) for v in range(self.p))
+    def element_at(self, index):
+        return RingElement(self, index)
 
     def spec_string(self):
         return f"fp:{self.p}"
@@ -319,6 +402,7 @@ class PadicTruncRing(Ring):
         self.M = M
         self.modulus = p**M
         self.char = self.modulus
+        self.order = self.modulus
         self.is_field = M == 1
         self.is_domain = M == 1
 
@@ -341,6 +425,10 @@ class PadicTruncRing(Ring):
     def _mul(self, a, b):
         return a * b % self.modulus
 
+    def _poly_mul(self, a, b, n):
+        """First n coefficients of a * b."""
+        return _kronecker_mod(a, b, n, self.modulus)
+
     def _inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.M}")
@@ -349,8 +437,8 @@ class PadicTruncRing(Ring):
     def _is_unit(self, a):
         return a % self.p != 0
 
-    def elements(self):
-        return (RingElement(self, v) for v in range(self.modulus))
+    def element_at(self, index):
+        return RingElement(self, index)
 
     def residue_field(self):
         return PrimeField(self.p)
@@ -411,6 +499,8 @@ class HbarTruncRing(Ring):
         self.is_field = M == 1
         self.is_domain = M == 1
         self.is_finite = base.is_finite
+        if self.is_finite:
+            self.order = base.order**M
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -449,6 +539,20 @@ class HbarTruncRing(Ring):
                 out[i + j] = self.base._add(out[i + j], self.base._mul(x, y))
         return tuple(out)
 
+    def _poly_mul(self, a, b, n):
+        """First n coefficients of a * b, by the base ring's product.
+
+        Each coefficient becomes 2M - 1 base slots, its M values and M - 1
+        zeros, so that the h-degrees of a product (at most 2M - 2) stay in
+        their slot; the product is folded back and truncated mod h^M.
+        """
+        stride = 2 * self.M - 1
+        pad = (self.base.zero().value,) * (self.M - 1)
+        flat_a = [c for v in a for c in v + pad]
+        flat_b = flat_a if b is a else [c for v in b for c in v + pad]
+        flat = self.base._poly_mul(flat_a, flat_b, n * stride)
+        return [tuple(flat[i:i + self.M]) for i in range(0, n * stride, stride)]
+
     def _inv(self, a):
         zero = self.base.zero().value
         if a[0] == zero:
@@ -466,13 +570,14 @@ class HbarTruncRing(Ring):
     def _is_unit(self, a):
         return a[0] != self.base.zero().value
 
-    def elements(self):
-        if not self.base.is_finite:
-            raise InfiniteRing(f"{self} is not finite")
-        basevals = [e.value for e in self.base.elements()]
-        return (
-            RingElement(self, tup) for tup in product(basevals, repeat=self.M)
-        )
+    def element_at(self, index):
+        """The index-th element: base-q digits of index, most significant
+        first, are the coefficients of h^0 .. h^(M-1)."""
+        digits = []
+        for _ in range(self.M):
+            index, d = divmod(index, self.base.order)
+            digits.append(self.base.element_at(d).value)
+        return RingElement(self, tuple(reversed(digits)))
 
     def residue_field(self):
         return self.base

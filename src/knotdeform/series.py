@@ -10,6 +10,28 @@ The Newton engine lifts a simple residual root of a bivariate polynomial
 F(x, u) to a series root u(x) with F(z + 2, u(z)) = 0 to full precision;
 over Z/p^M the same iteration also refines the coefficients p-adically,
 so a few extra fixed-point rounds follow the precision-doubling phase.
+
+Coefficient layout.  ``TruncSeries.values`` is a tuple of the ring's
+canonical raw values, the ``value`` a RingElement of that ring would hold:
+ints in [0, m) over F_p and Z/p^M (m = p resp. p^M), Fractions over Q, and
+length-M tuples of base values over base[h]/h^M.  Every loop in this module
+works on raw values; ``coeffs`` boxes them only for callers that ask.
+
+Products go through the ring's ``_poly_mul``, which uses Kronecker
+substitution: a coefficient list c_0 .. c_(n-1) is packed into the single
+integer sum c_i * 2^(w i) (with ``int.to_bytes``/``int.from_bytes``), one
+big-integer product does the whole convolution, and the slots of the
+result are read back.  The packing is exact when no product coefficient
+overflows its w-bit slot.  Over Z/m a product coefficient is a sum of at
+most n terms below m^2, so w = 2 bits(m) + bits(n), rounded up to whole
+bytes, suffices, with one reduction mod m per slot at the end.  Over Q both
+lists are cleared to a common denominator first; the slot width is the sum
+of the two largest numerator bit lengths plus bits(n) plus a sign bit, each
+slot is offset by half its range so signed values need no borrows, and one
+division per coefficient follows.  Over base[h]/h^M each coefficient
+becomes 2M - 1 base slots (M values, M - 1 zeros) so that h-degrees up to
+2M - 2 stay in place, the base ring's product runs once, and the result is
+folded back and truncated mod h^M.
 """
 
 from .errors import (
@@ -22,43 +44,55 @@ from .errors import (
     RingMismatch,
     VarMismatch,
 )
-from .rings import lift_residue, residue_field, to_residue
+from .rings import RingElement, lift_residue, residue_field, to_residue
 
 
 class TruncSeries:
-    """Coefficients c_0 .. c_{N-1} of a series known modulo var^N."""
+    """Coefficients c_0 .. c_{N-1} of a series known modulo var^N.
 
-    __slots__ = ("ring", "var", "coeffs")
+    ``values`` holds the ring's canonical raw values; ``coeffs`` boxes them
+    as RingElements on each access.
+    """
+
+    __slots__ = ("ring", "var", "values")
 
     def __init__(self, ring, var, coeffs):
-        coeffs = tuple(ring(c) if not hasattr(c, "ring") else c for c in coeffs)
-        if not coeffs:
-            raise ValueError("precision must be at least 1")
+        values = []
         for c in coeffs:
-            if c.ring != ring:
-                raise RingMismatch(f"{c.ring} coefficient in {ring} series")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", coeffs)
+            if isinstance(c, RingElement):
+                if c.ring != ring:
+                    raise RingMismatch(f"{c.ring} coefficient in {ring} series")
+                values.append(c.value)
+            else:
+                values.append(ring._canonical(c))
+        if not values:
+            raise ValueError("precision must be at least 1")
+        _init(self, ring, var, tuple(values))
 
     def __setattr__(self, name, value):
         raise AttributeError("immutable")
 
     @property
     def precision(self):
-        return len(self.coeffs)
+        return len(self.values)
+
+    @property
+    def coeffs(self):
+        ring = self.ring
+        return tuple(RingElement(ring, v) for v in self.values)
 
     @classmethod
     def constant(cls, ring, var, value, precision):
-        coeffs = [ring(value)] + [ring.zero()] * (precision - 1)
-        return cls(ring, var, coeffs)
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
+        return _raw(ring, var, (ring(value).value,) + (_zero(ring),) * (precision - 1))
 
     @classmethod
     def from_list(cls, ring, var, values, precision):
         """Series with the given leading values, zero-padded to precision."""
-        coeffs = [v if hasattr(v, "ring") else ring(v) for v in values[:precision]]
-        coeffs += [ring.zero()] * (precision - len(coeffs))
-        return cls(ring, var, coeffs)
+        values = list(values[:precision])
+        values += [ring.zero()] * (precision - len(values))
+        return cls(ring, var, values)
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -69,30 +103,27 @@ class TruncSeries:
     def truncate(self, precision):
         if precision >= self.precision:
             return self
-        return TruncSeries(self.ring, self.var, self.coeffs[:precision])
+        return _raw(self.ring, self.var, self.values[:precision])
 
     def pad(self, precision):
         """Extend with zero coefficients (an ansatz, not knowledge)."""
         if precision <= self.precision:
             return self.truncate(precision)
-        extra = (self.ring.zero(),) * (precision - self.precision)
-        return TruncSeries(self.ring, self.var, self.coeffs + extra)
+        extra = (_zero(self.ring),) * (precision - self.precision)
+        return _raw(self.ring, self.var, self.values + extra)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = TruncSeries.constant(self.ring, self.var, other, self.precision)
         self._check(other)
-        n = min(self.precision, other.precision)
-        return TruncSeries(
-            self.ring,
-            self.var,
-            [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])],
+        return _raw(
+            self.ring, self.var, tuple(map(self.ring._add, self.values, other.values))
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.ring, self.var, [-a for a in self.coeffs])
+        return _raw(self.ring, self.var, tuple(map(self.ring._neg, self.values)))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -100,25 +131,19 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if hasattr(other, "ring") and not isinstance(other, TruncSeries):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return TruncSeries(self.ring, self.var, [a * other for a in self.coeffs])
+            other = ring.from_int(other)
+        if isinstance(other, RingElement):
+            if other.ring != ring:
+                raise RingMismatch(f"{ring} vs {other.ring}")
+            mul, c = ring._mul, other.value
+            return _raw(ring, self.var, tuple([mul(a, c) for a in self.values]))
         self._check(other)
         n = min(self.precision, other.precision)
-        zero = self.ring.zero()
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ring, self.var, out)
+        a = self.values[:n]
+        b = a if other is self else other.values[:n]
+        return _raw(ring, self.var, tuple(ring._poly_mul(a, b, n)))
 
     __rmul__ = __mul__
 
@@ -129,29 +154,32 @@ class TruncSeries:
         if self.ring != other.ring or self.var != other.var:
             return False
         n = min(self.precision, other.precision)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.values[:n] == other.values[:n]
 
     __hash__ = None
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        zero = _zero(self.ring)
+        return all(v == zero for v in self.values)
 
     def order(self):
         """Index of the first nonzero known coefficient, or precision."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        zero = _zero(self.ring)
+        for i, v in enumerate(self.values):
+            if v != zero:
                 return i
         return self.precision
 
     def constant_term(self):
-        return self.coeffs[0]
+        return RingElement(self.ring, self.values[0])
 
     def text(self):
+        zero, fmt = _zero(self.ring), self.ring.format_value
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, v in enumerate(self.values):
+            if v == zero:
                 continue
-            cs = str(c)
+            cs = fmt(v)
             if " " in cs:
                 cs = f"({cs})"
             if i == 0:
@@ -169,11 +197,12 @@ class TruncSeries:
         return f"{body} + O({self.var}^{self.precision})"
 
     def to_json(self):
+        fmt = self.ring.format_value
         return {
             "ring": self.ring.spec_string(),
             "var": self.var,
             "precision": str(self.precision),
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [fmt(v) for v in self.values],
         }
 
     @classmethod
@@ -195,6 +224,23 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.text()!r})"
+
+
+def _init(series, ring, var, values):
+    object.__setattr__(series, "ring", ring)
+    object.__setattr__(series, "var", var)
+    object.__setattr__(series, "values", values)
+
+
+def _raw(ring, var, values):
+    """A series from a nonempty tuple of canonical raw values, unchecked."""
+    series = object.__new__(TruncSeries)
+    _init(series, ring, var, values)
+    return series
+
+
+def _zero(ring):
+    return ring.zero().value
 
 
 def series_invert(f):
@@ -251,18 +297,17 @@ def divide_by_var_power(f, k):
         return f
     if k < 0 or k >= f.precision:
         raise NotDivisible(f"cannot divide a precision-{f.precision} series by var^{k}")
-    for c in f.coeffs[:k]:
-        if not c.is_zero():
-            raise NotDivisible("a low-order coefficient is nonzero")
-    return TruncSeries(f.ring, f.var, f.coeffs[k:])
+    zero = _zero(f.ring)
+    if any(v != zero for v in f.values[:k]):
+        raise NotDivisible("a low-order coefficient is nonzero")
+    return _raw(f.ring, f.var, f.values[k:])
 
 
 def shift_up(f, k):
     """Multiply by var^k; gains k coefficients of precision."""
     if k < 0:
         return divide_by_var_power(f, -k)
-    zeros = (f.ring.zero(),) * k
-    return TruncSeries(f.ring, f.var, zeros + f.coeffs)
+    return _raw(f.ring, f.var, (_zero(f.ring),) * k + f.values)
 
 
 def to_ramified(f):
@@ -272,32 +317,51 @@ def to_ramified(f):
     """
     if f.var != "z":
         raise VarMismatch(f"expected a z-series, got {f.var}")
-    zero = f.ring.zero()
-    out = []
-    for c in f.coeffs:
-        out.append(c)
-        out.append(zero)
-    return TruncSeries(f.ring, "s", out)
+    zero = _zero(f.ring)
+    return _raw(f.ring, "s", tuple(c for v in f.values for c in (v, zero)))
 
 
 def eval_bipoly(F, assignment):
-    """Evaluate an integer BiPoly at series arguments."""
+    """Evaluate an integer BiPoly at series arguments.
+
+    Horner in the second variable: row e is the integer combination
+    sum_d c_(d,e) s1^d of a power table of the first argument, and the rows
+    fold as (... (row_top * s2 + row_(top-1)) * s2 ...) + row_0.  That takes
+    at most deg_1 + deg_2 series products.
+    """
     names = F.varnames
     s1 = assignment[names[0]]
     s2 = assignment[names[1]]
     s1._check(s2)
     n = min(s1.precision, s2.precision)
     ring, var = s1.ring, s1.var
-    p1 = [TruncSeries.constant(ring, var, 1, n)]
-    for _ in range(max(F.degree(0), 0)):
-        p1.append(p1[-1] * s1.truncate(n))
-    p2 = [TruncSeries.constant(ring, var, 1, n)]
-    for _ in range(max(F.degree(1), 0)):
-        p2.append(p2[-1] * s2.truncate(n))
-    acc = TruncSeries.constant(ring, var, 0, n)
+    s1, s2 = s1.truncate(n), s2.truncate(n)
+    if not F.terms:
+        return TruncSeries.constant(ring, var, 0, n)
+    powers = [TruncSeries.constant(ring, var, 1, n), s1]
+    for _ in range(2, F.degree(0) + 1):
+        powers.append(powers[-1] * s1)
+    rows = {}
     for (e1, e2), c in F.terms.items():
-        acc = acc + p1[e1] * p2[e2] * ring.from_int(c)
+        term = _scaled(powers[e1].values, c, ring)
+        rows[e2] = term if e2 not in rows else tuple(map(ring._add, rows[e2], term))
+    top = max(rows)
+    acc = _raw(ring, var, rows[top])
+    for e2 in range(top - 1, -1, -1):
+        acc = acc * s2
+        if e2 in rows:
+            acc = _raw(ring, var, tuple(map(ring._add, acc.values, rows[e2])))
     return acc
+
+
+def _scaled(values, c, ring):
+    """Raw values times the integer c."""
+    if c == 1:
+        return values
+    if c == -1:
+        return tuple(map(ring._neg, values))
+    mul, k = ring._mul, ring.from_int(c).value
+    return tuple([mul(v, k) for v in values])
 
 
 def x_series(ring, N, var="z"):
@@ -341,7 +405,7 @@ def newton_root(F, u0, ring, N):
             continue
         der = eval_bipoly(Fu, {name_x: x, name_u: u_try})
         u_new = u_try - val * series_invert(der)
-        if n == N and u_new.coeffs == u_try.coeffs:
+        if n == N and u_new.values == u_try.values:
             return u_new
         u = u_new
     raise IterationLimit("Newton iteration did not stabilize")

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -218,3 +219,29 @@ def test_beta_can_be_given_in_the_coefficient_ring():
     beta_in_ring = ring(3)
     data = deformation_data(FIG8, beta_in_ring, ring, 4)
     assert data.passed
+
+
+def test_specialization_point_large_exponent_padic():
+    # x0 = 14^n + 14^-n in Z/13^8, against Python's modular pow
+    ring = PadicTruncRing(13, 8)
+    n, m = 10**9, 13**8
+    x0 = specialization_point(ring, n)
+    assert x0.value == (pow(14, n, m) + pow(14, -n, m)) % m
+
+
+def test_specialization_point_large_exponent_hbar():
+    # (1 + h)^k = sum_j C(k, j) h^j mod h^3, and C(-n, j) = (-1)^j C(n + j - 1, j)
+    ring = HbarTruncRing(PrimeField(7), 3)
+    n = 10**9
+    up = [comb(n, j) for j in range(3)]
+    down = [(-1) ** j * comb(n + j - 1, j) for j in range(3)]
+    x0 = specialization_point(ring, n)
+    assert x0.value == tuple((a + b) % 7 for a, b in zip(up, down))
+    # the same point by squaring written out: n = 10^9 in binary
+    g = ring.one() + ring.uniformizer()
+    power, square = ring.one(), g
+    for bit in reversed(bin(n)[2:]):
+        if bit == "1":
+            power = power * square
+        square = square * square
+    assert x0 == power + power.inverse()

@@ -11,12 +11,13 @@ from knotdeform.pseudorep import (
     check_axioms_P,
     equivalence_harness,
     mutate_table,
+    random_sl2,
     random_trace_table,
     relation_ideal_truncated,
     trace_table,
 )
 from knotdeform.riley import riley_rep, trivial_representation
-from knotdeform.rings import PadicTruncRing, PrimeField, Rationals
+from knotdeform.rings import PadicTruncRing, PrimeField, Rationals, make_ring
 from knotdeform.words import FreeWord, TwoBridgeKnot
 
 Q = Rationals()
@@ -210,3 +211,29 @@ def test_table_json_round_trip():
     assert again.ring == table.ring
     for w in BALL2:
         assert again(w) == table(w)
+
+
+@pytest.mark.parametrize("spec", [f"fp:{2**31 - 1}", "padic:3:40"])
+def test_fuzz_helpers_draw_from_large_rings(spec):
+    # the draws index the ring instead of listing its 2^31 or 3^40 elements
+    ring = make_ring(spec)
+    rng = random.Random(5)
+    m = random_sl2(rng, ring)
+    assert m.det() == ring.one()
+    table = trace_table(trivial_representation(ring), BALL2)
+    mutated = mutate_table(rng, table)
+    changed = [i for i, (a, b) in enumerate(zip(table.values, mutated.values)) if a != b]
+    assert len(changed) == 1
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "padic:3:2", "hbar:3:2"])
+def test_mutate_table_draws_match_the_enumeration(spec):
+    # the delta is the same draw from the list of nonzero elements as before
+    ring = make_ring(spec)
+    nonzero = [e for e in ring.elements() if not e.is_zero()]
+    table = trace_table(trivial_representation(ring), BALL2)
+    for seed in range(40):
+        ref = random.Random(seed)
+        i = ref.randrange(len(table.wordset))
+        delta = nonzero[ref.randrange(len(nonzero))]
+        assert mutate_table(random.Random(seed), table).values[i] == table.values[i] + delta

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -151,6 +151,34 @@ def test_hbar_element_enumeration():
     with pytest.raises(InfiniteRing):
         list(HbarTruncRing(Rationals(), 2).elements())
     assert len(list(islice(F7.elements(), 3))) == 3
+
+
+@pytest.mark.parametrize(
+    "ring, expected",
+    [
+        (F7, list(range(7))),
+        (Z49, list(range(49))),
+        (H72, list(product(range(7), repeat=2))),
+        (HbarTruncRing(PrimeField(3), 3), list(product(range(3), repeat=3))),
+    ],
+    ids=str,
+)
+def test_element_at_indexes_the_enumeration(ring, expected):
+    assert ring.order == len(expected)
+    assert [e.value for e in ring.elements()] == expected
+    assert [ring.element_at(i).value for i in range(ring.order)] == expected
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_pow_matches_repeated_multiplication(ring):
+    a = _sample(ring, random.Random(3), 1)[0] + ring.one()
+    if not a.is_unit():
+        a = a + ring.one()
+    expected = ring.one()
+    for k in range(20):
+        assert a**k == expected
+        assert a ** (-k) * expected == ring.one()
+        expected = expected * a
 
 
 def test_rationals_canonical():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotdeform.errors import (
     NonSimpleRoot,
@@ -13,7 +15,14 @@ from knotdeform.errors import (
     VarMismatch,
 )
 from knotdeform.polynomials import BiPoly
-from knotdeform.rings import HbarTruncRing, PadicTruncRing, PrimeField, Rationals
+from knotdeform.riley import riley_data, valid_knots
+from knotdeform.rings import (
+    HbarTruncRing,
+    PadicTruncRing,
+    PrimeField,
+    Rationals,
+    make_ring,
+)
 from knotdeform.series import (
     TruncSeries,
     divide_by_var_power,
@@ -204,3 +213,117 @@ def test_text_and_json():
     assert again == u and again.precision == u.precision
     half = TruncSeries.from_list(Q, "z", [Fraction(1, 2), Fraction(-1, 3)], 2)
     assert TruncSeries.from_json(half.to_json()) == half
+
+
+# --- the packed product against a schoolbook reference ---
+
+def schoolbook(f, g):
+    """Reference product: the double loop over boxed RingElements."""
+    n = min(f.precision, g.precision)
+    a, b = f.coeffs, g.coeffs
+    out = [f.ring.zero()] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+PRODUCT_RINGS = {
+    "fp:7": 256,
+    f"fp:{2**61 - 1}": 256,
+    "padic:3:40": 256,
+    "padic:13:8": 256,
+    "rational": 200,
+    "hbar:13:6": 48,
+    "hbar:7:1": 64,
+    "hbar:rational:3": 32,
+}  # ring spec -> largest precision drawn
+
+
+def raw_values(ring):
+    if isinstance(ring, HbarTruncRing):
+        return st.tuples(*[raw_values(ring.base)] * ring.M)
+    if isinstance(ring, Rationals):
+        return st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
+    top = ring.order - 1
+    return st.one_of(st.integers(0, top), st.just(top), st.just(0))
+
+
+@st.composite
+def series_pairs(draw):
+    spec = draw(st.sampled_from(sorted(PRODUCT_RINGS)))
+    ring = make_ring(spec)
+    top = PRODUCT_RINGS[spec]
+    values = raw_values(ring)
+    n1 = draw(st.integers(1, top))
+    n2 = draw(st.one_of(st.just(n1), st.integers(1, top)))
+    f = TruncSeries(ring, "z", draw(st.lists(values, min_size=n1, max_size=n1)))
+    g = TruncSeries(ring, "z", draw(st.lists(values, min_size=n2, max_size=n2)))
+    return f, g
+
+
+@given(series_pairs())
+@settings(max_examples=60, deadline=None)
+def test_packed_product_matches_schoolbook(pair):
+    f, g = pair
+    n = min(f.precision, g.precision)
+    expected = schoolbook(f, g)
+    assert list((f * g).coeffs) == expected
+    assert list((g * f).coeffs) == expected
+    assert list((f * f).coeffs) == schoolbook(f, f)
+    # the min rule at mixed precisions
+    assert (f * g).precision == (f + g).precision == n
+    assert (f + g).values == tuple(
+        (a + b).value for a, b in zip(f.coeffs, g.coeffs)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, top, N",
+    [
+        (f"fp:{2**61 - 1}", 2**61 - 2, 256),
+        ("padic:3:40", 3**40 - 1, 256),
+        ("hbar:13:6", (12,) * 6, 48),
+        # 8 + 8 + bits(255) magnitude bits fill three bytes exactly, so only
+        # the sign bit keeps the slots apart
+        ("rational", -255, 255),
+    ],
+)
+def test_packed_product_slot_width_edge(spec, top, N):
+    # every coefficient at its largest magnitude: each product coefficient
+    # is the largest sum a slot must hold
+    ring = make_ring(spec)
+    f = TruncSeries(ring, "z", [ring(top)] * N)
+    assert list((f * f).coeffs) == schoolbook(f, f)
+    g = TruncSeries(ring, "z", [ring(top)] * (N // 2))
+    assert list((f * g).coeffs) == schoolbook(f, g)
+
+
+def term_by_term(F, s1, s2):
+    """Reference evaluation: sum of c * s1^e1 * s2^e2 over the terms."""
+    acc = s1.zero_like()
+    for (e1, e2), c in F.terms.items():
+        term = s1.one_like() * c
+        for _ in range(e1):
+            term = term * s1
+        for _ in range(e2):
+            term = term * s2
+        acc = acc + term
+    return acc
+
+
+def test_horner_eval_bipoly_on_phi():
+    rng = random.Random(21)
+    rings = [PadicTruncRing(13, 8), HbarTruncRing(PrimeField(7), 3), Q]
+    for i, knot in enumerate(valid_knots(21)):
+        phi = riley_data(knot).Phi
+        ring = rings[i % len(rings)]
+        n = 6 if ring == Q else 12
+        if ring == Q:
+            vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        else:
+            vals = [ring.element_at(rng.randrange(ring.order)) for _ in range(n)]
+        u = TruncSeries(ring, "z", vals)
+        x = x_series(ring, n)
+        got = eval_bipoly(phi, {"x": x, "u": u})
+        assert got.values == term_by_term(phi, x, u).values, knot
