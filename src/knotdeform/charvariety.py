@@ -19,7 +19,7 @@ form of the word.
 from dataclasses import dataclass
 
 from . import _kernels
-from .polynomials import BiPoly, _format_terms, _graded_lex
+from .polynomials import BiPoly, _power_table, _SparseBase
 from .riley import riley_data
 from .words import FreeWord, TwoBridgeKnot
 
@@ -60,71 +60,23 @@ def contains_point(model, point, which="any"):
     raise ValueError(f"unknown factor selector {which!r}")
 
 
-class TracePolynomial:
+class TracePolynomial(_SparseBase):
     """Integer polynomial in (x, z, y) = (tr a, tr b, tr ab)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     varnames = ("x", "z", "y")
-
-    def __init__(self, terms=None):
-        object.__setattr__(
-            self, "terms", {k: c for k, c in (terms or {}).items() if c}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    _mul_kernel = staticmethod(_kernels.poly_mul_3)
+    _unit_key = (0, 0, 0)
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0, 0): c} if c else {})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, name):
         i = cls.varnames.index(name)
         key = tuple(1 if j == i else 0 for j in range(3))
         return cls({key: 1})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TracePolynomial.constant(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TracePolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TracePolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TracePolynomial.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TracePolynomial(
-                {k: c * other for k, c in self.terms.items()}
-            )
-        return TracePolynomial(_kernels.poly_mul_3(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == TracePolynomial.constant(other).terms
-        return isinstance(other, TracePolynomial) and other.terms == self.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
 
     def max_degrees(self):
         dx = max((k[0] for k in self.terms), default=0)
@@ -146,9 +98,9 @@ class TracePolynomial:
         """Evaluation at ring elements."""
         ring = x.ring
         dx, dz, dy = self.max_degrees()
-        px = _elt_powers(x, dx)
-        pz = _elt_powers(z, dz)
-        py = _elt_powers(y, dy)
+        px = _power_table(x, dx)
+        pz = _power_table(z, dz)
+        py = _power_table(y, dy)
         acc = ring.zero()
         for (i, j, k), c in self.terms.items():
             acc = acc + ring.from_int(c) * px[i] * pz[j] * py[k]
@@ -162,20 +114,14 @@ class TracePolynomial:
             out[key] = out.get(key, 0) + c
         return TracePolynomial(out)
 
-    def text(self):
-        return _format_terms(_graded_lex(self.terms), self.varnames)
-
     def to_json(self):
         return {
             "vars": list(self.varnames),
             "terms": [
                 [str(i), str(j), str(k), str(c)]
-                for (i, j, k), c in _graded_lex(self.terms)
+                for (i, j, k), c in self.sorted_terms()
             ],
         }
-
-    def __repr__(self):
-        return f"TracePolynomial({self.text()!r})"
 
 
 def _int_powers(v, n, mod):
@@ -183,13 +129,6 @@ def _int_powers(v, n, mod):
     for _ in range(n):
         out.append(out[-1] * v % mod if mod else out[-1] * v)
     return tuple(out)
-
-
-def _elt_powers(v, n):
-    out = [v.one_like()]
-    for _ in range(n):
-        out.append(out[-1] * v)
-    return out
 
 
 # --- the reduction engine ---

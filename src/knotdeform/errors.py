@@ -113,7 +113,7 @@ class BadCharacteristic(KnotDeformError):
 
 
 class PrimeTooLarge(KnotDeformError):
-    """Exhaustive root scans are capped at p <= 10**4."""
+    """Root scans need p <= 10**4; primality is decided for n < 3.3 * 10^24."""
 
 
 class NotARepresentation(KnotDeformError):

@@ -61,13 +61,26 @@ def _graded_lex(terms):
 
 
 class _SparseBase:
-    """Shared dict-backed arithmetic; subclasses fix arity and validation."""
+    """Shared dict-backed arithmetic; subclasses fix arity and validation.
+
+    Public constructors drop zero coefficients; ``_make`` takes terms that
+    are already zero-free (kernel output, sums, negation, nonzero scaling).
+    """
 
     __slots__ = ("terms",)
     _mul_kernel = staticmethod(_kernels.poly_mul_2)
+    _unit_key = (0, 0)
+
+    def __init__(self, terms=None):
+        object.__setattr__(self, "terms", _clean(terms or {}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("immutable")
 
     def _make(self, terms):
-        raise NotImplementedError
+        p = object.__new__(type(self))
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def _compatible(self, other):
         if type(other) is not type(self):
@@ -75,7 +88,7 @@ class _SparseBase:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = self._make({} if other == 0 else {self._unit_key(): other})
+            other = self._make({} if other == 0 else {self._unit_key: other})
         self._compatible(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -110,18 +123,11 @@ class _SparseBase:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = self._make({self._unit_key(): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _kernels.power(self, n, self.one_like())
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {self._unit_key(): other})
+            return self.terms == ({} if other == 0 else {self._unit_key: other})
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
@@ -131,13 +137,16 @@ class _SparseBase:
         return not self.terms
 
     def one_like(self):
-        return self._make({self._unit_key(): 1})
+        return self._make({self._unit_key: 1})
 
     def zero_like(self):
         return self._make({})
 
     def sorted_terms(self):
         return _graded_lex(self.terms)
+
+    def text(self):
+        return _format_terms(self.sorted_terms(), self.varnames)
 
     def __bool__(self):
         return bool(self.terms)
@@ -153,22 +162,10 @@ class LaurentBiPoly(_SparseBase):
     varnames = ("t", "u")
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", _clean(terms or {}))
+        super().__init__(terms)
         for _, eu in self.terms:
             if eu < 0:
                 raise ValueError("u-exponents must be nonnegative")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
-    def _make(self, terms):
-        p = LaurentBiPoly.__new__(LaurentBiPoly)
-        object.__setattr__(p, "terms", _clean(terms))
-        return p
-
-    @staticmethod
-    def _unit_key():
-        return (0, 0)
 
     @classmethod
     def zero(cls):
@@ -218,9 +215,6 @@ class LaurentBiPoly(_SparseBase):
             acc = acc + ring.from_int(c) * tpart * up[eu]
         return acc
 
-    def text(self):
-        return _format_terms(self.sorted_terms(), self.varnames)
-
 
 class BiPoly(_SparseBase):
     """Element of Z[v1, v2] with nonnegative exponents."""
@@ -228,24 +222,16 @@ class BiPoly(_SparseBase):
     __slots__ = ("varnames",)
 
     def __init__(self, terms=None, varnames=("x", "u")):
-        object.__setattr__(self, "terms", _clean(terms or {}))
+        super().__init__(terms)
         object.__setattr__(self, "varnames", tuple(varnames))
         for key in self.terms:
             if key[0] < 0 or key[1] < 0:
                 raise ValueError("exponents must be nonnegative")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
     def _make(self, terms):
-        p = BiPoly.__new__(BiPoly)
-        object.__setattr__(p, "terms", _clean(terms))
+        p = super()._make(terms)
         object.__setattr__(p, "varnames", self.varnames)
         return p
-
-    @staticmethod
-    def _unit_key():
-        return (0, 0)
 
     def _compatible(self, other):
         super()._compatible(other)
@@ -282,7 +268,7 @@ class BiPoly(_SparseBase):
             if e == 0:
                 continue
             nk = (key[0] - 1, key[1]) if index == 0 else (key[0], key[1] - 1)
-            out[nk] = out.get(nk, 0) + c * e
+            out[nk] = c * e
         return self._make(out)
 
     def eval_first(self, value):
@@ -304,9 +290,6 @@ class BiPoly(_SparseBase):
         for (e1, e2), c in self.terms.items():
             acc = acc + ring.from_int(c) * p1[e1] * p2[e2]
         return acc
-
-    def text(self):
-        return _format_terms(self.sorted_terms(), self.varnames)
 
     def to_json(self):
         return {
@@ -416,22 +399,27 @@ class UniPoly:
 
 
 def _power_table(x, n):
-    powers = [x.one_like() if hasattr(x, "one_like") else 1]
-    for _ in range(n):
+    """[1, x, x^2, ..., x^n] for n >= 0; x needs ``*`` and ``one_like``."""
+    powers = [x.one_like(), x]
+    for _ in range(n - 1):
         powers.append(powers[-1] * x)
-    return powers
+    return powers[:n + 1]
 
 
 # --- symmetric reduction t + 1/t -> x ---
 
+def _chebyshev_basis(top):
+    """[p_0, ..., p_top]: p_0 = 2, p_1 = x, p_(n+1) = x p_n - p_(n-1)."""
+    x = UniPoly([0, 1], "x")
+    basis = [UniPoly([2], "x"), x]
+    for _ in range(top - 1):
+        basis.append(x * basis[-1] - basis[-2])
+    return basis[:top + 1]
+
+
 def chebyshev_like(n):
-    """p_n with p_n(t + 1/t) = t^n + t^-n: p_0 = 2, p_1 = x, recursion."""
-    if n == 0:
-        return UniPoly([2], "x")
-    prev, cur = UniPoly([2], "x"), UniPoly([0, 1], "x")
-    for _ in range(n - 1):
-        prev, cur = cur, UniPoly([0, 1], "x") * cur - prev
-    return cur
+    """p_n with p_n(t + 1/t) = t^n + t^-n."""
+    return _chebyshev_basis(n)[n]
 
 
 def symmetric_reduce(f):
@@ -454,6 +442,7 @@ def symmetric_reduce(f):
             l = cand
         elif l != cand:
             raise NotSymmetrizable("u-slices need different shifts")
+    basis = _chebyshev_basis(max(max(sl) for sl in slices.values()) + l)
     out = {}
     for eu, sl in slices.items():
         shifted = {e + l: c for e, c in sl.items()}
@@ -463,20 +452,17 @@ def symmetric_reduce(f):
         if 0 in shifted:
             out[(0, eu)] = out.get((0, eu), 0) + shifted[0]
         for e in sorted(k for k in shifted if k > 0):
-            for i, pc in enumerate(chebyshev_like(e).coeffs):
+            for i, pc in enumerate(basis[e].coeffs):
                 if pc:
                     key = (i, eu)
                     out[key] = out.get(key, 0) + shifted[e] * pc
-    return BiPoly(_clean(out), ("x", "u")), l
+    return BiPoly(out, ("x", "u")), l
 
 
 def expand_in_t(phi_xu, l):
     """Inverse of symmetric_reduce for round-trip checks: t^-l Phi(t+1/t, u)."""
     tp1t = LaurentBiPoly({(1, 0): 1, (-1, 0): 1})
-    xmax = max((k[0] for k in phi_xu.terms), default=0)
-    powers = [LaurentBiPoly.one()]
-    for _ in range(xmax):
-        powers.append(powers[-1] * tp1t)
+    powers = _power_table(tp1t, max(phi_xu.degree(0), 0))
     acc = LaurentBiPoly.zero()
     for (e1, e2), c in phi_xu.terms.items():
         acc = acc + powers[e1] * LaurentBiPoly({(0, e2): c})
@@ -489,10 +475,7 @@ def substitute_u(f):
         raise VarnameMismatch(f"expected (x, u), got {f.varnames}")
     xy = ("x", "y")
     repl = BiPoly({(0, 1): 1, (2, 0): -1, (0, 0): 2}, xy)
-    du = f.degree(1)
-    powers = [BiPoly.one(xy)]
-    for _ in range(max(du, 0)):
-        powers.append(powers[-1] * repl)
+    powers = _power_table(repl, max(f.degree(1), 0))
     acc = BiPoly.zero(xy)
     for (e1, e2), c in f.terms.items():
         acc = acc + powers[e2] * BiPoly({(e1, 0): c}, xy)

@@ -22,6 +22,7 @@ machinery and the square roots used by the deformation matrices.
 from fractions import Fraction
 from math import lcm
 
+from ._kernels import power
 from .errors import (
     CharacteristicTwo,
     InfiniteRing,
@@ -29,18 +30,23 @@ from .errors import (
     IterationLimit,
     NotLocalRing,
     NotPrime,
+    PrimeTooLarge,
     RingMismatch,
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# No composite below this is a strong pseudoprime to all of _SMALL_PRIMES
+# (Sorenson and Webster 2015).
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Miller-Rabin with the twelve prime bases 2 .. 37.
+    """Miller-Rabin with the thirteen prime bases 2 .. 41.
 
-    Deterministic only for n < 318665857834031151167461 (about 3.2 * 10^23,
-    Sorenson and Webster 2015): that number is composite, a strong
-    pseudoprime to all twelve bases, and is reported prime.
+    The answer is proved for every n < 3317044064679887385961981 (about
+    3.3 * 10^24).  At or above that bound a False is still proved (a base
+    witnesses that n is composite), but n passing every base proves
+    nothing, so PrimeTooLarge is raised rather than a guess.
     """
     if n < 2:
         return False
@@ -61,6 +67,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= _PRIME_BOUND:
+        raise PrimeTooLarge(f"primality of {n} is decided only below {_PRIME_BOUND}")
     return True
 
 
@@ -168,15 +176,7 @@ class RingElement:
         if not isinstance(k, int):
             return NotImplemented
         base = self.inverse() if k < 0 else self
-        k = abs(k)
-        result = self.ring.one()
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(base, abs(k), self.ring.one())
 
     def __truediv__(self, other):
         other = self._coerce(other)

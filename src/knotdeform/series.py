@@ -44,6 +44,7 @@ from .errors import (
     RingMismatch,
     VarMismatch,
 )
+from .polynomials import _power_table
 from .rings import RingElement, lift_residue, residue_field, to_residue
 
 
@@ -338,9 +339,7 @@ def eval_bipoly(F, assignment):
     s1, s2 = s1.truncate(n), s2.truncate(n)
     if not F.terms:
         return TruncSeries.constant(ring, var, 0, n)
-    powers = [TruncSeries.constant(ring, var, 1, n), s1]
-    for _ in range(2, F.degree(0) + 1):
-        powers.append(powers[-1] * s1)
+    powers = _power_table(s1, F.degree(0))
     rows = {}
     for (e1, e2), c in F.terms.items():
         term = _scaled(powers[e1].values, c, ring)

@@ -16,6 +16,7 @@ precision the entries can express.
 from dataclasses import dataclass
 from math import gcd
 
+from ._kernels import power
 from .errors import InvalidKnot, NotUnimodular, RingMismatch, WordSyntaxError
 
 
@@ -116,12 +117,8 @@ class FreeWord:
         return FreeWord([(g, -e) for g, e in reversed(self.letters)])
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        w = FreeWord.empty()
-        for _ in range(k):
-            w = w * self
-        return w
+        base = self.inverse() if k < 0 else self
+        return power(base, abs(k), FreeWord.empty())
 
     def __eq__(self, other):
         return isinstance(other, FreeWord) and other.letters == self.letters
@@ -214,10 +211,7 @@ class SL2Matrix:
 
     def __pow__(self, k):
         base = self.inverse() if k < 0 else self
-        result = SL2Matrix.identity_like(self.entries[0][0])
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        return power(base, abs(k), SL2Matrix.identity_like(self.entries[0][0]))
 
     def __eq__(self, other):
         if not isinstance(other, SL2Matrix):

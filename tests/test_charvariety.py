@@ -168,6 +168,15 @@ def test_memo_is_per_reducer():
     assert r2._memo == {}
 
 
+def test_trace_polynomial_compares_with_ints():
+    assert trace_reduce("") == 2
+    assert trace_reduce("a a^-1 b b^-1") == 2
+    assert X - X == 0
+    assert X * X - X * X + 5 == 5
+    assert X != 0
+    assert X != 1
+
+
 def test_trace_polynomial_text():
     poly = trace_reduce("a b a^-1 b^-1")
     assert poly.text() == "-x*z*y + x^2 + z^2 + y^2 - 2"

@@ -1,100 +1,95 @@
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import pytest
+from knotdeform import _kernels
+from knotdeform.charvariety import TracePolynomial
 
-from knotdeform import _kernels, _pykernels
-
-try:
-    from knotdeform import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [_pykernels] + ([_ckernels] if _ckernels else [])
+P61 = 2**61 - 1
+PACKAGE = Path(_kernels.__file__).parent
 
 
-def test_backend_selected():
-    assert _kernels.BACKEND in ("python", "c")
-
-
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.BACKEND)
-def test_poly_mul_2_basics(kern):
+def test_poly_mul_2_basics():
     a = {(1, 0): 1, (-1, 0): 1}
-    assert kern.poly_mul_2(a, a) == {(2, 0): 1, (0, 0): 2, (-2, 0): 1}
-    assert kern.poly_mul_2(a, {}) == {}
+    assert _kernels.poly_mul_2(a, a) == {(2, 0): 1, (0, 0): 2, (-2, 0): 1}
+    assert _kernels.poly_mul_2(a, {}) == {}
     # exact cancellation deletes the key
-    assert kern.poly_mul_2({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (1, 0): 1}) == {
+    assert _kernels.poly_mul_2({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (1, 0): 1}) == {
         (0, 0): 1,
         (2, 0): -1,
     }
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.BACKEND)
-def test_mat2_mul(kern):
+def test_mat2_mul():
     ident = (1, 0, 0, 1)
     m = (1, 2, 3, 4)
-    assert kern.mat2_mul(m, ident, 0) == m
-    assert kern.mat2_mul(m, m, 0) == (7, 10, 15, 22)
-    assert kern.mat2_mul(m, m, 5) == (2, 0, 0, 2)
+    assert _kernels.mat2_mul(m, ident, 0) == m
+    assert _kernels.mat2_mul(m, m, 0) == (7, 10, 15, 22)
+    assert _kernels.mat2_mul(m, m, 5) == (2, 0, 0, 2)
     fr = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2))
-    assert kern.mat2_mul(fr, fr, 0) == (Fraction(1, 4), 0, 0, 4)
+    assert _kernels.mat2_mul(fr, fr, 0) == (Fraction(1, 4), 0, 0, 4)
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.BACKEND)
-def test_eval_poly3_handles_negative_coefficients(kern):
+def test_eval_poly3_handles_negative_coefficients():
     items = (((1, 1, 1), -1), ((0, 0, 0), 5))
     powx = (1, 3)
     powz = (1, 4)
     powy = (1, 2)
-    assert kern.eval_poly3(items, powx, powz, powy, 7) == (5 - 24) % 7
-    assert kern.eval_poly3(items, powx, powz, powy, 0) == -19
+    assert _kernels.eval_poly3(items, powx, powz, powy, 7) == (5 - 24) % 7
+    assert _kernels.eval_poly3(items, powx, powz, powy, 0) == -19
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_backend_parity_random():
-    rng = random.Random(123)
-    for _ in range(40):
-        a = {
-            (rng.randrange(-30, 30), rng.randrange(20)):
-                rng.randrange(-(10**18), 10**18) or 1
-            for _ in range(rng.randrange(1, 50))
-        }
-        b = {
-            (rng.randrange(-30, 30), rng.randrange(20)):
-                rng.randrange(-(10**18), 10**18) or 1
-            for _ in range(rng.randrange(1, 8))
-        }
-        assert _pykernels.poly_mul_2(a, b) == _ckernels.poly_mul_2(a, b)
-    for _ in range(40):
-        a = {
-            (rng.randrange(9), rng.randrange(9), rng.randrange(9)):
-                rng.randrange(-999, 999) or 1
-            for _ in range(rng.randrange(1, 30))
-        }
-        b = {
-            (rng.randrange(9), rng.randrange(9), rng.randrange(9)):
-                rng.randrange(-999, 999) or 1
-            for _ in range(rng.randrange(1, 6))
-        }
-        assert _pykernels.poly_mul_3(a, b) == _ckernels.poly_mul_3(a, b)
-    for p in (0, 3, 9973):
-        hi = p if p else 10**12
-        for _ in range(60):
-            m1 = tuple(rng.randrange(hi) for _ in range(4))
-            m2 = tuple(rng.randrange(hi) for _ in range(4))
-            assert _pykernels.mat2_mul(m1, m2, p) == _ckernels.mat2_mul(m1, m2, p)
-    for p in (0, 7, 9973):
-        for _ in range(40):
-            items = tuple(
-                (
-                    (rng.randrange(9), rng.randrange(9), rng.randrange(9)),
-                    rng.randrange(-500, 500),
+def test_61_bit_residues_match_exact_arithmetic():
+    # products of residues mod 2^61 - 1 overflow 64-bit integers
+    assert TracePolynomial({(1, 1, 0): 1}).evaluate_int(P61 - 1, P61 - 1, 0, P61) == 1
+    top = (P61 - 1,) * 4
+    assert _kernels.mat2_mul(top, top, P61) == (2, 2, 2, 2)
+    rng = random.Random(61)
+    poly = TracePolynomial({
+        (rng.randrange(5), rng.randrange(5), rng.randrange(5)):
+            rng.randrange(-(10**20), 10**20)
+        for _ in range(30)
+    })
+    for _ in range(50):
+        x, z, y = (rng.randrange(P61) for _ in range(3))
+        exact = sum(c * x**i * z**j * y**k for (i, j, k), c in poly.terms.items())
+        assert poly.evaluate_int(x, z, y, P61) == exact % P61
+        a1, b1, c1, d1 = m1 = tuple(rng.randrange(P61) for _ in range(4))
+        a2, b2, c2, d2 = m2 = tuple(rng.randrange(P61) for _ in range(4))
+        exact = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        assert _kernels.mat2_mul(m1, m2, P61) == tuple(v % P61 for v in exact)
+
+
+def test_power_skips_the_last_squaring():
+    calls = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(1)
+            return Counted(int(self) * int(other))
+
+    for k in range(40):
+        calls.clear()
+        assert _kernels.power(Counted(3), k, Counted(1)) == 3**k
+        assert len(calls) == (k.bit_length() - 1 if k else 0) + bin(k).count("1")
+
+
+def test_package_is_stdlib_only_with_no_build_step():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "knotdeform", (
+                    path.name,
+                    name,
                 )
-                for _ in range(rng.randrange(1, 25))
-            )
-            bound = p if p else 99
-            powx = tuple(rng.randrange(bound) for _ in range(9))
-            powz = tuple(rng.randrange(bound) for _ in range(9))
-            powy = tuple(rng.randrange(bound) for _ in range(9))
-            assert _pykernels.eval_poly3(items, powx, powz, powy, p) == \
-                _ckernels.eval_poly3(items, powx, powz, powy, p)
+    built = [p.name for p in PACKAGE.iterdir() if p.suffix in (".pyx", ".c", ".so")]
+    assert built == []

@@ -10,6 +10,7 @@ from knotdeform.errors import (
     InvalidModulus,
     NotLocalRing,
     NotPrime,
+    PrimeTooLarge,
     RingMismatch,
 )
 from knotdeform.rings import (
@@ -17,6 +18,7 @@ from knotdeform.rings import (
     PadicTruncRing,
     PrimeField,
     Rationals,
+    is_prime,
     make_ring,
     residue_field,
     teichmuller_lift,
@@ -55,6 +57,41 @@ def test_invalid_parameters():
         HbarTruncRing(F7, -1)
     with pytest.raises(NotPrime):
         HbarTruncRing(Z49, 2)  # base must be a field
+
+
+# = 399165290221 * 798330580441, a strong pseudoprime to the bases 2 .. 37
+PSEUDOPRIME_TO_37 = 318665857834031151167461
+# is_prime decides primality below this bound
+PRIME_BOUND = 3317044064679887385961981
+
+
+def test_strong_pseudoprime_is_not_a_prime():
+    assert not is_prime(PSEUDOPRIME_TO_37)
+    for spec in (f"fp:{PSEUDOPRIME_TO_37}", f"padic:{PSEUDOPRIME_TO_37}:2"):
+        with pytest.raises(NotPrime):
+            make_ring(spec)
+
+
+def test_primes_above_the_bound_are_not_guessed():
+    least_prime_above = PRIME_BOUND + 142
+    for n in (PRIME_BOUND, least_prime_above):  # the bound is itself a pseudoprime
+        with pytest.raises(PrimeTooLarge):
+            is_prime(n)
+    with pytest.raises(PrimeTooLarge):
+        make_ring(f"fp:{least_prime_above}")
+    assert not is_prime(PRIME_BOUND + 1)
+    assert not is_prime(least_prime_above * 43)  # no factor below 43: Miller-Rabin finds it
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2015)
+    for bits in range(2, PRIME_BOUND.bit_length()):
+        for _ in range(20):
+            n = rng.randrange(1 << (bits - 1), min(1 << bits, PRIME_BOUND))
+            assert is_prime(n) == sympy.isprime(n), n
+        p = sympy.randprime(1 << (bits - 1), min(1 << bits, PRIME_BOUND))
+        assert is_prime(p), p
 
 
 def test_residue_examples():

@@ -90,6 +90,20 @@ def test_word_power():
     assert str(w**2) == "a b a b"
     assert w**0 == FreeWord.empty()
     assert w**-1 == w.inverse()
+    w = FreeWord.from_string("a^2 b^-1 a")
+    for k in range(-6, 7):
+        expected = FreeWord.empty()
+        for _ in range(abs(k)):
+            expected = expected * (w if k > 0 else w.inverse())
+        assert w**k == expected, k
+
+
+def test_sl2_power_with_a_huge_exponent():
+    p = 10007
+    F = PrimeField(p)
+    shear = SL2Matrix(((F(1), F(1)), (F(0), F(1))))
+    for k in (10**18, -(10**18)):
+        assert shear**k == SL2Matrix(((F(1), F(k % p)), (F(0), F(1))))
 
 
 letters = st.lists(
