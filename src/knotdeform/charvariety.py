@@ -19,7 +19,7 @@ form of the word.
 from dataclasses import dataclass
 
 from . import _kernels
-from .polynomials import BiPoly, _power_table, _SparseBase
+from .polynomials import BiPoly, _power_table, _SparseBase, horner
 from .riley import riley_data
 from .words import FreeWord, TwoBridgeKnot
 
@@ -96,15 +96,12 @@ class TracePolynomial(_SparseBase):
 
     def evaluate(self, x, z, y):
         """Evaluation at ring elements."""
-        ring = x.ring
-        dx, dz, dy = self.max_degrees()
+        dx, dz, _ = self.max_degrees()
         px = _power_table(x, dx)
         pz = _power_table(z, dz)
-        py = _power_table(y, dy)
-        acc = ring.zero()
-        for (i, j, k), c in self.terms.items():
-            acc = acc + ring.from_int(c) * px[i] * pz[j] * py[k]
-        return acc
+        return horner(
+            self.terms, lambda k: px[k[0]] * pz[k[1]], y, x.ring.zero()
+        )
 
     def specialize_z_to_x(self):
         """Set z = x (meridian generators are conjugate for knot groups)."""

@@ -40,6 +40,7 @@ from .deform import (
 from .errors import InvalidKnot, KnotDeformError
 from .polynomials import expand_in_t
 from .pseudorep import (
+    HarnessVerdict,
     PseudoRepTable,
     WordSet,
     check_axioms_C,
@@ -61,7 +62,6 @@ from .rings import (
 )
 from .words import (
     FreeWord,
-    SL2Matrix,
     TwoBridgeKnot,
     epsilon_sequence,
     evaluate_word,
@@ -242,27 +242,18 @@ def _cmd_trace_reduce(args, out):
 def _cmd_pseudo_check(args, out):
     with open(args.table, encoding="utf-8") as fh:
         table = PseudoRepTable.from_json(json.load(fh))
-    p_report = check_axioms_P(table)
-    c_report = check_axioms_C(table)
+    verdict = HarnessVerdict(check_axioms_P(table), check_axioms_C(table))
     if args.json:
-        _emit(
-            out,
-            {
-                "P": p_report.to_json(),
-                "C": c_report.to_json(),
-                "agree": p_report.passed == c_report.passed,
-            },
-            True,
-        )
+        _emit(out, verdict.to_json(), True)
     else:
-        for rep in (p_report, c_report):
+        for rep in (verdict.p_report, verdict.c_report):
             counts = ", ".join(f"{k}:{v}" for k, v in sorted(rep.checked.items()))
-            verdict = "pass" if rep.passed else "FAIL"
-            out.write(f"({rep.family}) {verdict} [{counts}]\n")
+            result = "pass" if rep.passed else "FAIL"
+            out.write(f"({rep.family}) {result} [{counts}]\n")
             for axiom, witnesses in rep.violations:
                 ws = ", ".join(str(w) for w in witnesses)
                 out.write(f"  violated {axiom} at ({ws})\n")
-    return 0 if p_report.passed and c_report.passed else 2
+    return 0 if verdict.p_passed and verdict.c_passed else 2
 
 
 def _cmd_deform(args, out):
@@ -379,8 +370,6 @@ def trace_oracle_battery(rng, primes, pairs_per_prime, q_pairs, max_letters):
     words = all_reduced_words(max_letters)
     reducer = TraceReducer()
     polys = [reducer.reduce(w) for w in words]
-    items = [tuple(p.terms.items()) for p in polys]
-    degs = [p.max_degrees() for p in polys]
     checked = 0
 
     def run_pairs(ring, npairs, mod):
@@ -390,20 +379,13 @@ def trace_oracle_battery(rng, primes, pairs_per_prime, q_pairs, max_letters):
         for _ in range(npairs):
             ma = random_sl2(rng, ring)
             mb = random_sl2(rng, ring)
-            mats = {
-                "a": {1: ma, -1: ma.inverse()},
-                "b": {1: mb, -1: mb.inverse()},
-            }
             x = ma.trace()
             z = mb.trace()
             y = (ma * mb).trace()
             if mod:
                 xv, zv, yv = x.value, z.value, y.value
             for w, poly in zip(words, polys):
-                mat = SL2Matrix.identity_like(ma.entries[0][0])
-                for gen, step in w.single_letters():
-                    mat = mat * mats[gen][step]
-                tr = mat.trace()
+                tr = evaluate_word(w, ma, mb).trace()
                 if mod:
                     pv = poly.evaluate_int(xv, zv, yv, mod)
                     ok = tr.value == pv

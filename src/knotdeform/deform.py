@@ -25,6 +25,7 @@ from .errors import (
     BadCharacteristic,
     NonUnitU,
     NotInMaximalIdeal,
+    PrecisionTooLow,
     RingMismatch,
 )
 from .riley import Representation, c_matrix, d_matrix, riley_data
@@ -196,6 +197,11 @@ def ramified_check(u, n_s):
     t = (x + s sqrt(s^2+4))/2 satisfies t + 1/t = x and t = 1 + s mod s^2;
     sqrt(s^2+4) is normalized to constant term 2.
     """
+    if n_s < 2:
+        raise PrecisionTooLow(
+            f"ramified s-precision must be at least 2 (U's off-diagonal "
+            f"divides by s), got {n_s}"
+        )
     ring = u.ring
     half = ring.from_int(2).inverse()
     quarter = half * half
@@ -383,6 +389,11 @@ class DeformationData:
 
 def deformation_data(knot, beta, coeff_ring, N):
     """Full pipeline: Hensel lift, matrices, verification report."""
+    if N < 2:
+        raise PrecisionTooLow(
+            f"z-precision must be at least 2 (B's off-diagonal divides by z), "
+            f"got {N}"
+        )
     beta_res = _normalize_beta(beta, coeff_ring)
     u = hensel_u(knot, beta_res, coeff_ring, N)
     v, a_mat, b_mat = deformation_matrices(u)

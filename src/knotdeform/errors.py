@@ -136,3 +136,7 @@ class NonUnitU(KnotDeformError):
 
 class NotInMaximalIdeal(KnotDeformError):
     pass
+
+
+class PrecisionTooLow(KnotDeformError):
+    """A requested series precision is below the minimum a construction needs."""

@@ -13,8 +13,12 @@ the trace coordinate x = t + 1/t using the basis p_0 = 2, p_1 = x,
 p_{n+1} = x p_n - p_{n-1} for t^n + t^-n.  ``discriminant`` is exact, via
 the subresultant polynomial remainder sequence.
 
-All coefficients are Python ints; evaluation maps them into an arbitrary
-coefficient ring through its canonical integer image.
+All coefficients are Python ints.  Every sparse evaluation and
+substitution -- ``BiPoly.evaluate``, ``LaurentBiPoly.evaluate``,
+``TracePolynomial.evaluate``, ``series.eval_bipoly``, ``substitute_u`` and
+``expand_in_t`` -- goes through the one routine ``horner``: Horner's rule
+in the last variable, each row an integer combination of values of the
+other variables.
 """
 
 from . import _kernels
@@ -199,21 +203,18 @@ class LaurentBiPoly(_SparseBase):
 
     def evaluate(self, t, u):
         """Exact evaluation at ring elements; t must be a unit."""
-        ring = t.ring
         if not t.is_unit():
             raise NonUnitLaurentBase("t-value is not invertible")
-        tinv = t.inverse()
         lo = min((et for et, _ in self.terms), default=0)
         hi = max((et for et, _ in self.terms), default=0)
-        du = self.u_degree()
         tp = _power_table(t, max(hi, 0))
-        tn = _power_table(tinv, max(-lo, 0))
-        up = _power_table(u, max(du, 0))
-        acc = ring.zero()
-        for (et, eu), c in self.terms.items():
-            tpart = tp[et] if et >= 0 else tn[-et]
-            acc = acc + ring.from_int(c) * tpart * up[eu]
-        return acc
+        tn = _power_table(t.inverse(), max(-lo, 0))
+        return horner(
+            self.terms,
+            lambda k: tp[k[0]] if k[0] >= 0 else tn[-k[0]],
+            u,
+            t.ring.zero(),
+        )
 
 
 class BiPoly(_SparseBase):
@@ -283,13 +284,8 @@ class BiPoly(_SparseBase):
         """Exact evaluation; assignment maps both varnames to ring elements."""
         v1 = assignment[self.varnames[0]]
         v2 = assignment[self.varnames[1]]
-        ring = v1.ring
         p1 = _power_table(v1, max(self.degree(0), 0))
-        p2 = _power_table(v2, max(self.degree(1), 0))
-        acc = ring.zero()
-        for (e1, e2), c in self.terms.items():
-            acc = acc + ring.from_int(c) * p1[e1] * p2[e2]
-        return acc
+        return horner(self.terms, lambda k: p1[k[0]], v2, v1.ring.zero())
 
     def to_json(self):
         return {
@@ -406,6 +402,33 @@ def _power_table(x, n):
     return powers[:n + 1]
 
 
+def horner(terms, head, last, zero):
+    """Sum of c * head(e_1 .. e_(k-1)) * last^(e_k) over {(e_1 .. e_k): c}.
+
+    Horner's rule in the last variable: row e is the integer combination
+    of ``head`` values over the terms with e_k = e, and the rows fold as
+    acc = acc * last + row, from the top row down.  The operands need only
+    ``+``, ``*`` and ``* int``, so ring elements, series and sparse
+    polynomials all work; an empty ``terms`` gives ``zero``.
+    """
+    rows = {}
+    for key, c in terms.items():
+        term = head(key[:-1])
+        if c != 1:
+            term = term * c
+        e = key[-1]
+        rows[e] = term if e not in rows else rows[e] + term
+    if not rows:
+        return zero
+    top = max(rows)
+    acc = rows[top]
+    for e in range(top - 1, -1, -1):
+        acc = acc * last
+        if e in rows:
+            acc = acc + rows[e]
+    return acc
+
+
 # --- symmetric reduction t + 1/t -> x ---
 
 def _chebyshev_basis(top):
@@ -463,9 +486,12 @@ def expand_in_t(phi_xu, l):
     """Inverse of symmetric_reduce for round-trip checks: t^-l Phi(t+1/t, u)."""
     tp1t = LaurentBiPoly({(1, 0): 1, (-1, 0): 1})
     powers = _power_table(tp1t, max(phi_xu.degree(0), 0))
-    acc = LaurentBiPoly.zero()
-    for (e1, e2), c in phi_xu.terms.items():
-        acc = acc + powers[e1] * LaurentBiPoly({(0, e2): c})
+    acc = horner(
+        phi_xu.terms,
+        lambda k: powers[k[0]],
+        LaurentBiPoly.var_u(),
+        LaurentBiPoly.zero(),
+    )
     return acc * LaurentBiPoly.t_power(-l)
 
 
@@ -475,11 +501,9 @@ def substitute_u(f):
         raise VarnameMismatch(f"expected (x, u), got {f.varnames}")
     xy = ("x", "y")
     repl = BiPoly({(0, 1): 1, (2, 0): -1, (0, 0): 2}, xy)
-    powers = _power_table(repl, max(f.degree(1), 0))
-    acc = BiPoly.zero(xy)
-    for (e1, e2), c in f.terms.items():
-        acc = acc + powers[e2] * BiPoly({(e1, 0): c}, xy)
-    return acc
+    return horner(
+        f.terms, lambda k: BiPoly({(k[0], 0): 1}, xy), repl, BiPoly.zero(xy)
+    )
 
 
 # --- resultants and discriminants over Z ---

@@ -708,8 +708,6 @@ def lift_residue(ring, a):
         if a.ring != residue_field(ring):
             raise RingMismatch(f"{a.ring} is not the residue field of {ring}")
         return ring.teichmuller(a)
-    if ring.is_field and a.ring == ring:
-        return a
     raise RingMismatch(f"cannot lift {a.ring} element into {ring}")
 
 

@@ -44,7 +44,7 @@ from .errors import (
     RingMismatch,
     VarMismatch,
 )
-from .polynomials import _power_table
+from .polynomials import _power_table, horner
 from .rings import RingElement, lift_residue, residue_field, to_residue
 
 
@@ -325,42 +325,22 @@ def to_ramified(f):
 def eval_bipoly(F, assignment):
     """Evaluate an integer BiPoly at series arguments.
 
-    Horner in the second variable: row e is the integer combination
-    sum_d c_(d,e) s1^d of a power table of the first argument, and the rows
-    fold as (... (row_top * s2 + row_(top-1)) * s2 ...) + row_0.  That takes
-    at most deg_1 + deg_2 series products.
+    Horner in the second variable over a power table of the first (see
+    ``polynomials.horner``): at most deg_1 + deg_2 series products.
     """
     names = F.varnames
     s1 = assignment[names[0]]
     s2 = assignment[names[1]]
     s1._check(s2)
     n = min(s1.precision, s2.precision)
-    ring, var = s1.ring, s1.var
     s1, s2 = s1.truncate(n), s2.truncate(n)
-    if not F.terms:
-        return TruncSeries.constant(ring, var, 0, n)
-    powers = _power_table(s1, F.degree(0))
-    rows = {}
-    for (e1, e2), c in F.terms.items():
-        term = _scaled(powers[e1].values, c, ring)
-        rows[e2] = term if e2 not in rows else tuple(map(ring._add, rows[e2], term))
-    top = max(rows)
-    acc = _raw(ring, var, rows[top])
-    for e2 in range(top - 1, -1, -1):
-        acc = acc * s2
-        if e2 in rows:
-            acc = _raw(ring, var, tuple(map(ring._add, acc.values, rows[e2])))
-    return acc
-
-
-def _scaled(values, c, ring):
-    """Raw values times the integer c."""
-    if c == 1:
-        return values
-    if c == -1:
-        return tuple(map(ring._neg, values))
-    mul, k = ring._mul, ring.from_int(c).value
-    return tuple([mul(v, k) for v in values])
+    powers = _power_table(s1, max(F.degree(0), 0))
+    return horner(
+        F.terms,
+        lambda k: powers[k[0]],
+        s2,
+        TruncSeries.constant(s1.ring, s1.var, 0, n),
+    )
 
 
 def x_series(ring, N, var="z"):

@@ -119,6 +119,16 @@ def test_deform_domain_error():
         ["deform", "3", "1", "--coeff", "rational", "--beta", "0", "--prec", "4"]
     )
     assert code == 1 and "beta = 0" in err
+    trefoil = ["deform", "3", "1", "--coeff", "rational", "--beta", "m1"]
+    for extra, fragment in (
+        (["--prec", "1"], "z-precision must be at least 2"),
+        (["--prec", "0"], "z-precision must be at least 2"),
+        (["--prec", "4", "--ramified", "1"], "s-precision must be at least 2"),
+        (["--prec", "4", "--ramified", "0"], "s-precision must be at least 2"),
+    ):
+        code, out, err = invoke(trefoil + extra)
+        assert code == 1 and out == "" and fragment in err, extra
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_deform_json_round_trip():

@@ -19,6 +19,7 @@ from knotdeform.errors import (
     BadCharacteristic,
     NonUnitU,
     NotInMaximalIdeal,
+    PrecisionTooLow,
 )
 from knotdeform.pseudorep import WordSet, check_axioms_C, check_axioms_P, trace_table
 from knotdeform.riley import riley_rep
@@ -142,6 +143,16 @@ def test_ramified_check_trefoil():
     assert conj["U_C_Uinv_is_A"].precision >= 10
     # t + 1/t = x = 2 + s^2 in the ramified coordinate
     assert conj["t_plus_tinv_is_x"].precision >= 11
+
+
+def test_minimum_precisions():
+    assert deformation_data(TREFOIL, Q(-1), Q, 2).passed
+    with pytest.raises(PrecisionTooLow):
+        deformation_data(TREFOIL, Q(-1), Q, 1)
+    u = hensel_u(TREFOIL, Q(-1), Q, 2)
+    assert all(c.passed for c in ramified_check(u, 2))
+    with pytest.raises(PrecisionTooLow):
+        ramified_check(u, 1)
 
 
 def test_ramified_check_padic():

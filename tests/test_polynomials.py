@@ -21,7 +21,9 @@ from knotdeform.polynomials import (
     substitute_u,
     symmetric_reduce,
 )
+from knotdeform.riley import riley_data, valid_knots
 from knotdeform.rings import PrimeField, Rationals
+from knotdeform.words import TwoBridgeKnot
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -111,6 +113,27 @@ def test_substitute_u_examples():
     assert substitute_u(bare) == BiPoly(
         {(0, 1): 1, (2, 0): -1, (0, 0): 2}, ("x", "y")
     )
+
+
+def substitute_u_term_by_term(f):
+    """Reference: sum of c x^d (y - x^2 + 2)^e over a power table."""
+    xy = ("x", "y")
+    repl = BiPoly({(0, 1): 1, (2, 0): -1, (0, 0): 2}, xy)
+    powers = [BiPoly.one(xy)]
+    for _ in range(f.degree(1)):
+        powers.append(powers[-1] * repl)
+    acc = BiPoly.zero(xy)
+    for (d, e), c in f.terms.items():
+        acc = acc + powers[e] * BiPoly({(d, 0): c}, xy)
+    return acc
+
+
+def test_substitute_u_matches_term_by_term():
+    knots = list(valid_knots(35)) + [TwoBridgeKnot(101, 31)]
+    for f in [BiPoly({}), BiPoly({(0, 0): 7}), BiPoly({(3, 0): -2})] + [
+        riley_data(knot).Phi for knot in knots
+    ]:
+        assert substitute_u(f) == substitute_u_term_by_term(f), f
 
 
 def test_discriminant_examples():

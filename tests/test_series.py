@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotdeform.charvariety import TracePolynomial, TraceReducer, all_reduced_words
 from knotdeform.errors import (
     NonSimpleRoot,
     NonUnitConstantTerm,
+    NonUnitLaurentBase,
     NoSquareRootOfConstant,
     NotAResidualRoot,
     NotDivisible,
     RingMismatch,
     VarMismatch,
 )
-from knotdeform.polynomials import BiPoly
+from knotdeform.polynomials import BiPoly, LaurentBiPoly
 from knotdeform.riley import riley_data, valid_knots
 from knotdeform.rings import (
     HbarTruncRing,
@@ -299,15 +301,16 @@ def test_packed_product_slot_width_edge(spec, top, N):
     assert list((f * g).coeffs) == schoolbook(f, g)
 
 
-def term_by_term(F, s1, s2):
-    """Reference evaluation: sum of c * s1^e1 * s2^e2 over the terms."""
-    acc = s1.zero_like()
-    for (e1, e2), c in F.terms.items():
-        term = s1.one_like() * c
-        for _ in range(e1):
-            term = term * s1
-        for _ in range(e2):
-            term = term * s2
+def term_by_term(terms, point, one):
+    """Reference evaluation: sum of c * prod v_i^e_i over {(e_1 ..): c},
+    one factor at a time; a negative exponent multiplies by the inverse."""
+    acc = one * 0
+    for key, c in terms.items():
+        term = one * c
+        for v, e in zip(point, key):
+            f = v if e >= 0 else v.inverse()
+            for _ in range(abs(e)):
+                term = term * f
         acc = acc + term
     return acc
 
@@ -325,5 +328,53 @@ def test_horner_eval_bipoly_on_phi():
             vals = [ring.element_at(rng.randrange(ring.order)) for _ in range(n)]
         u = TruncSeries(ring, "z", vals)
         x = x_series(ring, n)
-        got = eval_bipoly(phi, {"x": x, "u": u})
-        assert got.values == term_by_term(phi, x, u).values, knot
+        for F in (phi, BiPoly({}), BiPoly({(0, 0): -3})):
+            got = eval_bipoly(F, {"x": x, "u": u})
+            assert got.precision == n
+            want = term_by_term(F.terms, (x, u), x.one_like())
+            assert got.values == want.values, knot
+
+
+def _draw(rng, ring):
+    if ring == Q:
+        return ring(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return ring.element_at(rng.randrange(ring.order))
+
+
+def _draw_unit(rng, ring):
+    while True:
+        t = _draw(rng, ring)
+        if t.is_unit():
+            return t
+
+
+@pytest.mark.parametrize("spec", ["fp:10007", "padic:13:8", "rational", "hbar:7:3"])
+def test_horner_ring_evaluators_match_term_by_term(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    one = ring.one()
+    for knot in valid_knots(21):
+        data = riley_data(knot)
+        x, u, t = _draw(rng, ring), _draw(rng, ring), _draw_unit(rng, ring)
+        assert data.Phi.evaluate({"x": x, "u": u}) == term_by_term(
+            data.Phi.terms, (x, u), one), knot
+        assert data.phi.evaluate(t, u) == term_by_term(data.phi.terms, (t, u), one), knot
+    assert any(et < 0 for et, _ in data.phi.terms)
+    for c in (0, 5, -1):  # the empty polynomial, then constants
+        assert BiPoly({(0, 0): c}).evaluate({"x": x, "u": u}) == ring(c)
+        assert LaurentBiPoly({(0, 0): c}).evaluate(t, u) == ring(c)
+        assert TracePolynomial({(0, 0, 0): c}).evaluate(x, u, t) == ring(c)
+    # a non-unit t: zero over a field, the uniformizer p or h otherwise
+    non_unit = ring.zero() if ring.is_field else ring.uniformizer()
+    with pytest.raises(NonUnitLaurentBase):
+        data.phi.evaluate(non_unit, u)
+
+    reducer = TraceReducer()
+    polys = [reducer.reduce(w) for w in all_reduced_words(4)]
+    for _ in range(3):
+        x, z, y = (_draw(rng, ring) for _ in range(3))
+        for poly in polys:
+            got = poly.evaluate(x, z, y)
+            assert got == term_by_term(poly.terms, (x, z, y), one), poly
+            if isinstance(ring, PrimeField):
+                assert got.value == poly.evaluate_int(x.value, z.value, y.value, ring.p)
