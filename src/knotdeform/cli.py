@@ -37,7 +37,7 @@ from .deform import (
     specialization_point,
     specialize,
 )
-from .errors import InvalidKnot, KnotDeformError
+from .errors import InvalidKnot, KnotDeformError, MalformedTable
 from .polynomials import expand_in_t
 from .pseudorep import (
     HarnessVerdict,
@@ -126,7 +126,8 @@ def build_parser():
     p = sub.add_parser("deform", help="explicit universal deformation")
     knot_args(p)
     p.add_argument("--coeff", required=True,
-                   help='"rational" | "padic:<p>:<M>" | "hbar:<p>:<M>"')
+                   help='"rational" | "fp:<p>" | "padic:<p>:<M>" | "hbar:<p>:<M>"'
+                   ' | "hbar:rational:<M>"')
     p.add_argument("--beta", required=True,
                    help="residual root in the residue field")
     p.add_argument("--prec", type=int, required=True, help="z-precision N")
@@ -241,7 +242,11 @@ def _cmd_trace_reduce(args, out):
 
 def _cmd_pseudo_check(args, out):
     with open(args.table, encoding="utf-8") as fh:
-        table = PseudoRepTable.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise MalformedTable(f"{args.table} is not JSON ({exc})") from None
+    table = PseudoRepTable.from_json(obj)
     verdict = HarnessVerdict(check_axioms_P(table), check_axioms_C(table))
     if args.json:
         _emit(out, verdict.to_json(), True)

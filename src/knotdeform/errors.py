@@ -106,6 +106,10 @@ class WordSyntaxError(KnotDeformError):
     pass
 
 
+class MalformedTable(KnotDeformError):
+    """A stored pseudo-representation table is not a valid table file."""
+
+
 # --- Riley pipeline ---
 
 class BadCharacteristic(KnotDeformError):

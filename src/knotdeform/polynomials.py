@@ -191,9 +191,6 @@ class LaurentBiPoly(_SparseBase):
     def var_u(cls):
         return cls({(0, 1): 1})
 
-    def u_degree(self):
-        return max((eu for _, eu in self.terms), default=-1)
-
     def u_slices(self):
         """Map u-degree -> {t-exponent: coeff}."""
         slices = {}
@@ -380,10 +377,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * value + ring.from_int(c)
         return acc
-
-    def shift_x(self):
-        """View as a polynomial in x contributing x^i terms of a BiPoly."""
-        return {(i, 0): c for i, c in enumerate(self.coeffs) if c}
 
     def text(self):
         ordered = [((i,), c) for i, c in sorted(

@@ -25,17 +25,19 @@ axiom shapes above, with no simplification attempted.
 
 from dataclasses import dataclass, field
 
-from .errors import KnotDeformError, NotIntegralDomain, RingMismatch
-from .rings import PadicTruncRing, PrimeField, RingElement
+from ._kernels import power
+from .errors import KnotDeformError, MalformedTable, NotIntegralDomain, RingMismatch
+from .rings import PadicTruncRing, PrimeField, RingElement, make_ring
 from .words import FreeWord
 
 
 class WordSet:
     """A finite, inverse-agnostic window onto the free group on a, b.
 
-    Axiom-instance tables (which witness tuples have all their products
-    inside the window) are computed once and cached; checking a table is
-    then pure ring arithmetic.
+    The product table (index of each product of two window words, or None
+    outside the window) and the axiom-instance tables read from it (which
+    witness tuples have all their products inside the window) are computed
+    once and cached; checking a table is then pure ring arithmetic.
     """
 
     def __init__(self, words):
@@ -69,6 +71,12 @@ class WordSet:
             self._tables[name] = builder()
         return self._tables[name]
 
+    def products(self):
+        """The product table: [i][j] is the index of words[i] * words[j], or None."""
+        return self._table("mul", lambda: tuple(
+            tuple(self._index.get(u * v) for v in self.words) for u in self.words
+        ))
+
     def p1_instance(self):
         return self._index[FreeWord.empty()]
 
@@ -76,17 +84,11 @@ class WordSet:
         """(i1, i2, i12, i21) for ordered pairs with both products inside."""
 
         def build():
-            out = []
-            for w1, i1 in self._index.items():
-                for w2, i2 in self._index.items():
-                    i12 = self._index.get(w1 * w2)
-                    if i12 is None:
-                        continue
-                    i21 = self._index.get(w2 * w1)
-                    if i21 is None:
-                        continue
-                    out.append((i1, i2, i12, i21))
-            return tuple(out)
+            mul, n = self.products(), range(len(self))
+            return tuple(
+                (a, b, mul[a][b], mul[b][a]) for a in n for b in n
+                if mul[a][b] is not None and mul[b][a] is not None
+            )
 
         return self._table("p2", build)
 
@@ -94,33 +96,20 @@ class WordSet:
         """(i1, i2, i3, i123, i132, i12, i23, i13) with all five products inside."""
 
         def build():
-            idx = self._index
-            pair = {}
-            for w1, i1 in idx.items():
-                for w2, i2 in idx.items():
-                    j = idx.get(w1 * w2)
-                    if j is not None:
-                        pair[(i1, i2)] = (j, w1 * w2)
+            mul, n = self.products(), range(len(self))
             out = []
-            for w1, i1 in idx.items():
-                for w2, i2 in idx.items():
-                    p12 = pair.get((i1, i2))
-                    if p12 is None:
+            for a in n:
+                for b in n:
+                    ab = mul[a][b]
+                    if ab is None:
                         continue
-                    for w3, i3 in idx.items():
-                        p23 = pair.get((i2, i3))
-                        if p23 is None:
+                    for c in n:
+                        bc, ac = mul[b][c], mul[a][c]
+                        if bc is None or ac is None:
                             continue
-                        p13 = pair.get((i1, i3))
-                        if p13 is None:
-                            continue
-                        i123 = idx.get(p12[1] * w3)
-                        if i123 is None:
-                            continue
-                        i132 = idx.get(p13[1] * w2)
-                        if i132 is None:
-                            continue
-                        out.append((i1, i2, i3, i123, i132, p12[0], p23[0], p13[0]))
+                        abc, acb = mul[ab][c], mul[ac][b]
+                        if abc is not None and acb is not None:
+                            out.append((a, b, c, abc, acb, ab, bc, ac))
             return tuple(out)
 
         return self._table("p3", build)
@@ -129,30 +118,30 @@ class WordSet:
         """(i, i_squared) for words whose square is inside."""
 
         def build():
-            out = []
-            for w, i in self._index.items():
-                isq = self._index.get(w * w)
-                if isq is not None:
-                    out.append((i, isq))
-            return tuple(out)
+            mul = self.products()
+            return tuple(
+                (g, mul[g][g]) for g in range(len(self)) if mul[g][g] is not None
+            )
 
         return self._table("p4", build)
 
     def c2_instances(self):
-        """(i1, i2, i12, iinv) with g1 g2 and g1^-1 g2 inside."""
+        """(i1, i2, i12, iinv) with g1 g2 and g1^-1 g2 inside.
+
+        g1^-1 need not lie in the window, so g1^-1 g2 is formed from the words.
+        """
 
         def build():
-            out = []
-            for w1, i1 in self._index.items():
+            mul, out = self.products(), []
+            for a, w1 in enumerate(self.words):
                 w1inv = w1.inverse()
-                for w2, i2 in self._index.items():
-                    i12 = self._index.get(w1 * w2)
-                    if i12 is None:
+                for b, w2 in enumerate(self.words):
+                    ab = mul[a][b]
+                    if ab is None:
                         continue
                     iinv = self._index.get(w1inv * w2)
-                    if iinv is None:
-                        continue
-                    out.append((i1, i2, i12, iinv))
+                    if iinv is not None:
+                        out.append((a, b, ab, iinv))
             return tuple(out)
 
         return self._table("c2", build)
@@ -190,15 +179,8 @@ class PseudoRepTable:
     @classmethod
     def from_dict(cls, ring, mapping):
         ws = WordSet(mapping.keys())
-        vals = []
-        for w in ws:
-            if w in mapping:
-                vals.append(mapping[w])
-            elif w.is_empty():
-                vals.append(ring.from_int(2))
-            else:
-                raise KeyError(f"no value for {w}")
-        return cls(ring, ws, vals)
+        two = ring.from_int(2)  # only the empty word can be missing
+        return cls(ring, ws, [mapping.get(w, two) for w in ws])
 
     def __call__(self, word):
         i = self.wordset.index(word)
@@ -221,13 +203,26 @@ class PseudoRepTable:
 
     @classmethod
     def from_json(cls, obj):
-        from .rings import make_ring
-
+        """Inverse of to_json; a word listed twice, after free reduction,
+        or an entry that is not a [word, value] pair raises MalformedTable."""
+        if not (isinstance(obj, dict) and "ring" in obj
+                and isinstance(obj.get("entries"), list)):
+            raise MalformedTable('a table needs "ring" and an "entries" list')
         ring = make_ring(obj["ring"])
-        mapping = {
-            FreeWord.from_string(ws): ring.parse_value(vs)
-            for ws, vs in obj["entries"]
-        }
+        mapping = {}
+        for entry in obj["entries"]:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(s, str) for s in entry)):
+                raise MalformedTable(f"entry {entry!r} is not a [word, value] pair")
+            word = FreeWord.from_string(entry[0])
+            if word in mapping:
+                raise MalformedTable(f"entry {entry!r} repeats the word {word}")
+            try:
+                mapping[word] = ring.parse_value(entry[1])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedTable(
+                    f"entry {entry!r}: not a {ring} value ({exc})"
+                ) from None
         return cls.from_dict(ring, mapping)
 
 
@@ -256,29 +251,18 @@ class AxiomReport:
         }
 
 
-def check_axioms_P(table):
-    """Evaluate every (P1)-(P4) instance covered by the table's domain."""
-    ws = table.wordset
-    T = table.values
-    two = table.ring.from_int(2)
-    report = AxiomReport("P")
-    checked = report.checked
+def _p_residuals(ws, T, two):
+    """(axiom, witness indices, residual) for every (P1)-(P4) instance in ws.
 
-    i1 = ws.p1_instance()
-    checked["P1"] = 1
-    if T[i1] != two:
-        report.violations.append(("P1", (ws.words[i1],)))
-
-    p2 = ws.p2_instances()
-    checked["P2"] = len(p2)
-    for a, b, ab, ba in p2:
-        if T[ab] != T[ba]:
-            report.violations.append(("P2", (ws.words[a], ws.words[b])))
-
-    p3 = ws.p3_instances()
-    checked["P3"] = len(p3)
-    for a, b, c, abc, acb, ab, bc, ac in p3:
-        lhs = (
+    T is indexed like ws.words and needs only +, - and *; an instance holds
+    exactly when its residual is zero.
+    """
+    i = ws.p1_instance()
+    yield "P1", (i,), T[i] - two
+    for a, b, ab, ba in ws.p2_instances():
+        yield "P2", (a, b), T[ab] - T[ba]
+    for a, b, c, abc, acb, ab, bc, ac in ws.p3_instances():
+        yield "P3", (a, b, c), (
             T[a] * T[b] * T[c]
             + T[abc]
             + T[acb]
@@ -286,37 +270,38 @@ def check_axioms_P(table):
             - T[bc] * T[a]
             - T[ac] * T[b]
         )
-        if not lhs.is_zero():
-            report.violations.append(
-                ("P3", (ws.words[a], ws.words[b], ws.words[c]))
-            )
+    for g, gsq in ws.p4_instances():
+        yield "P4", (g,), T[g] * T[g] - T[gsq] - two
 
-    p4 = ws.p4_instances()
-    checked["P4"] = len(p4)
-    for g, gsq in p4:
-        if T[g] * T[g] - T[gsq] != two:
-            report.violations.append(("P4", (ws.words[g],)))
+
+def _c_residuals(ws, T, two):
+    """(axiom, witness indices, residual) for every (C1)-(C2) instance in ws."""
+    i = ws.p1_instance()
+    yield "C1", (i,), T[i] - two
+    for a, b, ab, iinv in ws.c2_instances():
+        yield "C2", (a, b), T[a] * T[b] - T[ab] - T[iinv]
+
+
+def _check(family, residuals, table):
+    ws = table.wordset
+    report = AxiomReport(family)
+    checked = report.checked
+    # the empty word witnesses every axiom, so each key appears, in order
+    for axiom, witnesses, r in residuals(ws, table.values, table.ring.from_int(2)):
+        checked[axiom] = checked.get(axiom, 0) + 1
+        if not r.is_zero():
+            report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
     return report
+
+
+def check_axioms_P(table):
+    """Evaluate every (P1)-(P4) instance covered by the table's domain."""
+    return _check("P", _p_residuals, table)
 
 
 def check_axioms_C(table):
     """Evaluate every (C1)-(C2) instance covered by the table's domain."""
-    ws = table.wordset
-    T = table.values
-    two = table.ring.from_int(2)
-    report = AxiomReport("C")
-
-    i1 = ws.p1_instance()
-    report.checked["C1"] = 1
-    if T[i1] != two:
-        report.violations.append(("C1", (ws.words[i1],)))
-
-    c2 = ws.c2_instances()
-    report.checked["C2"] = len(c2)
-    for a, b, ab, iv in c2:
-        if T[a] * T[b] != T[ab] + T[iv]:
-            report.violations.append(("C2", (ws.words[a], ws.words[b])))
-    return report
+    return _check("C", _c_residuals, table)
 
 
 def trace_table(rho, wordset):
@@ -427,14 +412,11 @@ class RelationPoly:
 
     def substitute(self, values):
         """Evaluate at X_name -> values[name]."""
-        acc = self.ring.zero()
+        acc, one = self.ring.zero(), self.ring.one()
         for mono, c in self.terms.items():
-            term = c
             for name, e in mono:
-                v = values[name]
-                for _ in range(e):
-                    term = term * v
-            acc = acc + term
+                c = c * power(values[name], e, one)
+            acc = acc + c
         return acc
 
     def text(self):
@@ -494,48 +476,15 @@ def relation_ideal_truncated(wordset, tbar, M):
     if any(w not in ws for w in tbar.wordset) or any(w not in tbar.wordset for w in ws):
         raise KnotDeformError("word window and table domain must coincide")
 
-    def tvar(i):
-        w = ws.words[i]
-        lift = ring.teichmuller(tbar(w))
-        return RelationPoly.variable(ring, str(w), shift=lift)
-
-    two = ring.from_int(2)
-    gens = []
-
-    i1 = ws.p1_instance()
-    poly = tvar(i1) - two
-    gens.append(RelationGenerator("P1-type", (ws.words[i1],), poly))
-
-    for a, b, ab, ba in ws.p2_instances():
-        if ab == ba:
-            continue
-        poly = tvar(ab) - tvar(ba)
-        if not poly.is_zero():
-            gens.append(
-                RelationGenerator("P2-type", (ws.words[a], ws.words[b]), poly)
-            )
-
-    for a, b, c, abc, acb, ab, bc, ac in ws.p3_instances():
-        poly = (
-            tvar(a) * tvar(b) * tvar(c)
-            + tvar(abc)
-            + tvar(acb)
-            - tvar(ab) * tvar(c)
-            - tvar(bc) * tvar(a)
-            - tvar(ac) * tvar(b)
-        )
-        if not poly.is_zero():
-            gens.append(
-                RelationGenerator(
-                    "P3-type", (ws.words[a], ws.words[b], ws.words[c]), poly
-                )
-            )
-
-    for g, gsq in ws.p4_instances():
-        poly = tvar(g) * tvar(g) - tvar(gsq) - two
-        if not poly.is_zero():
-            gens.append(RelationGenerator("P4-type", (ws.words[g],), poly))
-    return gens
+    T = [
+        RelationPoly.variable(ring, str(w), shift=ring.teichmuller(tbar(w)))
+        for w in ws
+    ]
+    return [
+        RelationGenerator(f"{axiom}-type", tuple(ws.words[i] for i in witnesses), r)
+        for axiom, witnesses, r in _p_residuals(ws, T, ring.from_int(2))
+        if not r.is_zero()
+    ]
 
 
 # --- fuzzing helpers (seeded by callers) ---

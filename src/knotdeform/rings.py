@@ -521,10 +521,10 @@ class HbarTruncRing(Ring):
         return RingElement(self, self._canonical(n))
 
     def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
         zero = self.base.zero().value

@@ -178,6 +178,25 @@ def test_pseudo_check_files(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{not json", "is not JSON"),
+        ('{"ring": "fp:7"}', '"entries"'),
+        ('{"ring": "fp:7", "entries": [["b", "x"]]}', "entry ['b', 'x']"),
+        ('{"ring": "fp:7", "entries": [["a b", "1"], ["ab", "2"]]}',
+         "entry ['ab', '2'] repeats the word a b"),
+    ],
+    ids=["not-json", "no-entries", "bad-value", "repeated-word"],
+)
+def test_pseudo_check_malformed_tables(tmp_path, text, fragment):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    code, out, err = invoke(["pseudo-check", str(path)])
+    assert code == 1 and out == "" and fragment in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_deterministic_output():
     first = invoke(["riley", "7", "3", "--json"])
     second = invoke(["riley", "7", "3", "--json"])

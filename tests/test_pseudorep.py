@@ -25,6 +25,9 @@ F7 = PrimeField(7)
 TREFOIL = TwoBridgeKnot(3, 1)
 
 BALL2 = WordSet.ball(2)
+# not closed under inverses: a^-1 is outside, yet (C2) at (a, a b) reads
+# a^-1 . a b = b, which is inside
+SMALL = WordSet([FreeWord.from_string(w) for w in ("a", "b", "a b", "a^2 b")])
 
 
 def test_wordset_contains_empty_and_is_canonical():
@@ -42,6 +45,53 @@ def test_wordset_coverage_counts():
     assert cov["P4"] == 5
     assert cov["C2"] == 49
     assert all(n > 0 for n in cov.values())
+
+
+def _brute_force_instances(ws):
+    """p2, p3, p4 and c2 tuples, in order, from every FreeWord product."""
+    words, idx = ws.words, ws.index
+    n = range(len(words))
+    p2, p3, p4, c2 = [], [], [], []
+    for a in n:
+        sq = idx(words[a] * words[a])
+        if sq is not None:
+            p4.append((a, sq))
+        for b in n:
+            g1, g2 = words[a], words[b]
+            ab, ba, inv = idx(g1 * g2), idx(g2 * g1), idx(g1.inverse() * g2)
+            if ab is not None and ba is not None:
+                p2.append((a, b, ab, ba))
+            if ab is not None and inv is not None:
+                c2.append((a, b, ab, inv))
+            if ab is None:
+                continue
+            for c in n:
+                g3 = words[c]
+                found = []
+                for w in (g1 * g2 * g3, g1 * g3 * g2, g2 * g3, g1 * g3):
+                    found.append(idx(w))
+                    if found[-1] is None:
+                        break
+                else:
+                    abc, acb, bc, ac = found
+                    p3.append((a, b, c, abc, acb, ab, bc, ac))
+    return p2, p3, p4, c2
+
+
+@pytest.mark.parametrize(
+    "ws", [BALL2, WordSet.ball(3), SMALL], ids=["ball2", "ball3", "small"]
+)
+def test_instance_tables_match_brute_force(ws):
+    tables = (ws.p2_instances(), ws.p3_instances(), ws.p4_instances(), ws.c2_instances())
+    assert tuple(map(list, tables)) == _brute_force_instances(ws)
+
+
+def test_c2_reads_inverses_outside_the_window():
+    a, ab = FreeWord.from_string("a"), FreeWord.from_string("a b")
+    assert a.inverse() not in SMALL
+    assert (SMALL.index(a), SMALL.index(ab), SMALL.index(a * ab),
+            SMALL.index(FreeWord.from_string("b"))) in SMALL.c2_instances()
+    assert SMALL.coverage() == {"P1": 1, "P2": 9, "P3": 17, "P4": 1, "C1": 1, "C2": 6}
 
 
 def test_constant_table_passes_both():
@@ -167,6 +217,25 @@ def test_relation_ideal_examples():
     assert poly.terms[(("a", 1),)] == w * 2
     assert poly.terms[((str(FreeWord.from_string("a^2")), 1),)] == -ring.one()
     assert poly.terms[()] == w * w - w - ring.from_int(2)
+
+
+def test_relation_ideal_on_window_without_inverses():
+    field = F7
+    rho = riley_rep(TREFOIL, field(1), field(6))
+    gens = relation_ideal_truncated(SMALL, trace_table(rho, SMALL), 2)
+    ring = PadicTruncRing(7, 2)
+    one, a, b = (FreeWord.from_string(w) for w in ("1", "a", "b"))
+    kinds = [g.kind for g in gens]
+    # no pair but (1, w) and (w, 1) commutes inside, and only 1 squares inside
+    assert kinds == ["P1-type"] + ["P3-type"] * 17 + ["P4-type"]
+    assert gens[0].polynomial.terms == {(("1", 1),): ring.one(), (): ring(28)}
+    assert gens[-1].witnesses == (one,)
+    # (3) at (a, 1, b): T_a T_1 T_b + 2 T_ab - 2 T_a T_b - T_ab T_1
+    p3 = next(g for g in gens if g.witnesses == (a, one, b)).polynomial
+    w = ring.teichmuller(field(2))
+    assert p3.terms[(("1", 1), ("a", 1), ("b", 1))] == ring.one()
+    assert p3.terms[(("1", 1), ("a b", 1))] == -ring.one()
+    assert p3.terms[(("a", 1), ("b", 1))] == w - 2
 
 
 def test_relation_ideal_requires_valid_table():
