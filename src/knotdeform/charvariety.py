@@ -14,6 +14,10 @@ identity tr(UV) = tr(U) tr(V) - tr(U^-1 V) together with tr(U) = tr(U^-1)
 and cyclic invariance, on a measure (letter count, inverse-letter count)
 that strictly decreases, with memoization on the cyclic/inverse canonical
 form of the word.
+
+TracePolynomial.evaluate at elements of ``fp:p``, ``padic:p:M`` or
+``rational`` runs evaluate_int on their raw values (``_kernels.eval_poly3``,
+homogenized over Q); at other values it runs Horner's rule.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .polynomials import BiPoly, _power_table, _SparseBase, horner
 from .riley import riley_data
+from .rings import scalar_values
 from .words import FreeWord, TwoBridgeKnot
 
 
@@ -85,7 +90,9 @@ class TracePolynomial(_SparseBase):
         return dx, dz, dy
 
     def evaluate_int(self, x, z, y, mod=0):
-        """Exact integer (or mod-p) evaluation at integer trace values."""
+        """Exact evaluation at raw trace values: ints reduced mod ``mod``,
+        or, with mod = 0, ints or Fractions (homogenized, see
+        ``_kernels.eval_poly3``)."""
         dx, dz, dy = self.max_degrees()
         powx = _int_powers(x, dx, mod)
         powz = _int_powers(z, dz, mod)
@@ -95,7 +102,15 @@ class TracePolynomial(_SparseBase):
         )
 
     def evaluate(self, x, z, y):
-        """Evaluation at ring elements."""
+        """Evaluation at ring elements.
+
+        Over ``fp:p``, ``padic:p:M`` and ``rational`` this is evaluate_int
+        on the raw values; other values run Horner's rule in y.
+        """
+        raw = scalar_values((x, z, y))
+        if raw is not None:
+            ring, values = raw
+            return ring(self.evaluate_int(*values, ring.scalar_mod))
         dx, dz, _ = self.max_degrees()
         px = _power_table(x, dx)
         pz = _power_table(z, dz)

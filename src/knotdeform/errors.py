@@ -32,6 +32,11 @@ class RingMismatch(KnotDeformError):
     """Arithmetic between elements of different rings."""
 
 
+class MalformedValue(KnotDeformError):
+    """A value string that its ring cannot read exactly, such as an h-power
+    at or above the truncation order."""
+
+
 class NotAField(KnotDeformError):
     pass
 

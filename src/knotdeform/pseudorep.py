@@ -21,12 +21,25 @@ is visible.  relation_ideal_truncated emits the finite part of the
 presentation ideal of the universal deformation ring over Z/p^M: in the
 shifted variables T_w = X_w + teich(Tbar(w)) the generators are the four
 axiom shapes above, with no simplification attempted.
+
+Each axiom is stated once, as a residual over any indexable T.  The
+checkers hand it the raw values of an ``fp:p``, ``padic:p:M`` or
+``rational`` table (plain numbers, one zero test per residual) and the
+RingElement values of an ``hbar`` table; the relation ideal hands it
+RelationPoly variables.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ._kernels import power
-from .errors import KnotDeformError, MalformedTable, NotIntegralDomain, RingMismatch
+from .errors import (
+    KnotDeformError,
+    MalformedTable,
+    MalformedValue,
+    NotIntegralDomain,
+    RingMismatch,
+)
 from .rings import PadicTruncRing, PrimeField, RingElement, make_ring
 from .words import FreeWord
 
@@ -37,22 +50,29 @@ class WordSet:
     The product table (index of each product of two window words, or None
     outside the window) and the axiom-instance tables read from it (which
     witness tuples have all their products inside the window) are computed
-    once and cached; checking a table is then pure ring arithmetic.
+    once and cached; checking a table is then pure ring arithmetic.  A
+    WordSet is immutable, so the one window that ``ball`` shares between
+    all its callers keeps its tables for the life of the process.
     """
+
+    __slots__ = ("words", "_index", "_tables")
 
     def __init__(self, words):
         seen = {FreeWord.empty()}
         seen.update(words)
         ordered = sorted(seen, key=lambda w: w.sort_key())
-        self.words = tuple(ordered)
-        self._index = {w: i for i, w in enumerate(ordered)}
-        self._tables = {}
+        object.__setattr__(self, "words", tuple(ordered))
+        object.__setattr__(self, "_index", {w: i for i, w in enumerate(ordered)})
+        object.__setattr__(self, "_tables", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("immutable")
 
     @classmethod
     def ball(cls, max_letters):
-        from .charvariety import all_reduced_words
-
-        return cls(all_reduced_words(max_letters))
+        """Every freely reduced word of at most max_letters letters: one
+        shared window per bound."""
+        return _ball(max_letters)
 
     def __len__(self):
         return len(self.words)
@@ -158,6 +178,13 @@ class WordSet:
         }
 
 
+@lru_cache(maxsize=None)
+def _ball(max_letters):
+    from .charvariety import all_reduced_words
+
+    return WordSet(all_reduced_words(max_letters))
+
+
 class PseudoRepTable:
     """A map T from a WordSet into a ring, stored positionally.
 
@@ -219,7 +246,7 @@ class PseudoRepTable:
                 raise MalformedTable(f"entry {entry!r} repeats the word {word}")
             try:
                 mapping[word] = ring.parse_value(entry[1])
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, MalformedValue) as exc:
                 raise MalformedTable(
                     f"entry {entry!r}: not a {ring} value ({exc})"
                 ) from None
@@ -283,13 +310,26 @@ def _c_residuals(ws, T, two):
 
 
 def _check(family, residuals, table):
-    ws = table.wordset
+    """Run one family's residuals over the table and report the nonzero ones.
+
+    Over a ring whose raw values are plain numbers the residuals run on
+    those numbers, unreduced, and each gets one zero test: r % m == 0 for
+    the modulus m = p or p^M, r == 0 over Q.  hbar tables run on their
+    RingElement values.
+    """
+    ws, ring = table.wordset, table.ring
+    m = ring.scalar_mod
+    if m is None:
+        T, two, is_zero = table.values, ring.from_int(2), RingElement.is_zero
+    else:
+        T, two = [v.value for v in table.values], 2
+        is_zero = (lambda r: r % m == 0) if m else (lambda r: r == 0)
     report = AxiomReport(family)
     checked = report.checked
     # the empty word witnesses every axiom, so each key appears, in order
-    for axiom, witnesses, r in residuals(ws, table.values, table.ring.from_int(2)):
+    for axiom, witnesses, r in residuals(ws, T, two):
         checked[axiom] = checked.get(axiom, 0) + 1
-        if not r.is_zero():
+        if not is_zero(r):
             report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
     return report
 

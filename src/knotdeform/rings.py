@@ -15,19 +15,27 @@ section F_p -> Z/p^M.  Rationals() is treated as a degenerate local ring
 with maximal ideal (0) so that characteristic-zero examples can flow
 through the same deformation code paths.
 
+The raw values of ``fp:p``, ``padic:p:M`` and ``rational`` are plain
+numbers: ints reduced mod ``scalar_mod`` (p or p^M), or Fractions when
+``scalar_mod`` is 0.  Hot loops (word products, trace evaluation, axiom
+residuals) take ``scalar_values`` of such elements and run on the raw
+numbers, boxing only their results; ``hbar`` values are coefficient
+tuples, with ``scalar_mod`` None, and stay on the generic RingElement
+arithmetic, as do series and other entry types.
+
 p = 2 is rejected everywhere: 2 must be invertible for the trace identity
 machinery and the square roots used by the deformation matrices.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from ._kernels import power
+from ._kernels import over_common_denominator, power
 from .errors import (
     CharacteristicTwo,
     InfiniteRing,
     InvalidModulus,
     IterationLimit,
+    MalformedValue,
     NotLocalRing,
     NotPrime,
     PrimeTooLarge,
@@ -201,7 +209,7 @@ class RingElement:
         return self.ring._is_unit(self.value)
 
     def is_zero(self):
-        return self.value == self.ring.zero().value
+        return self.value == self.ring.zero_value
 
     def residue(self):
         """Image in the residue field; only local rings have one."""
@@ -221,7 +229,8 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; subclasses define canonical values and raw ops."""
+    """Common interface; subclasses define canonical values and raw ops,
+    and ``zero_value``, the raw zero, made once per ring."""
 
     char = None
     is_field = False
@@ -229,6 +238,9 @@ class Ring:
     is_finite = False
     is_local = False
     order = None  # element count of a finite ring
+    # modulus of a ring whose raw values are plain numbers (0 over Q);
+    # None when they are not
+    scalar_mod = None
 
     def __call__(self, value):
         return RingElement(self, self._canonical(value))
@@ -260,6 +272,8 @@ class Rationals(Ring):
     is_field = True
     is_domain = True
     is_local = True  # degenerate: maximal ideal (0)
+    scalar_mod = 0
+    zero_value = Fraction(0)
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -283,10 +297,8 @@ class Rationals(Ring):
     def _poly_mul(self, a, b, n):
         """First n coefficients of a * b: one integer product over the
         common denominator, one division at the end."""
-        da = lcm(*(v.denominator for v in a))
-        db = lcm(*(v.denominator for v in b))
-        ia = [v.numerator * (da // v.denominator) for v in a]
-        ib = [v.numerator * (db // v.denominator) for v in b]
+        ia, da = over_common_denominator(a)
+        ib, db = over_common_denominator(b)
         d = da * db
         return [Fraction(c, d) for c in _kronecker_signed(ia, ib, n)]
 
@@ -337,6 +349,8 @@ class PrimeField(Ring):
         self.p = p
         self.char = p
         self.order = p
+        self.scalar_mod = p
+        self.zero_value = 0
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -403,6 +417,8 @@ class PadicTruncRing(Ring):
         self.modulus = p**M
         self.char = self.modulus
         self.order = self.modulus
+        self.scalar_mod = self.modulus
+        self.zero_value = 0
         self.is_field = M == 1
         self.is_domain = M == 1
 
@@ -501,6 +517,7 @@ class HbarTruncRing(Ring):
         self.is_finite = base.is_finite
         if self.is_finite:
             self.order = base.order**M
+        self.zero_value = (base.zero_value,) * M
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -512,10 +529,10 @@ class HbarTruncRing(Ring):
                 raise RingMismatch(f"{value.ring} vs {self}")
         if isinstance(value, (list, tuple)):
             coeffs = [self.base._canonical(c) for c in value[: self.M]]
-            coeffs += [self.base.zero().value] * (self.M - len(coeffs))
+            coeffs += [self.base.zero_value] * (self.M - len(coeffs))
             return tuple(coeffs)
         c0 = self.base._canonical(value)
-        return (c0,) + (self.base.zero().value,) * (self.M - 1)
+        return (c0,) + (self.base.zero_value,) * (self.M - 1)
 
     def from_int(self, n):
         return RingElement(self, self._canonical(n))
@@ -527,7 +544,7 @@ class HbarTruncRing(Ring):
         return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        zero = self.base.zero().value
+        zero = self.base.zero_value
         out = [zero] * self.M
         for i, x in enumerate(a):
             if x == zero:
@@ -547,14 +564,14 @@ class HbarTruncRing(Ring):
         their slot; the product is folded back and truncated mod h^M.
         """
         stride = 2 * self.M - 1
-        pad = (self.base.zero().value,) * (self.M - 1)
+        pad = (self.base.zero_value,) * (self.M - 1)
         flat_a = [c for v in a for c in v + pad]
         flat_b = flat_a if b is a else [c for v in b for c in v + pad]
         flat = self.base._poly_mul(flat_a, flat_b, n * stride)
         return [tuple(flat[i:i + self.M]) for i in range(0, n * stride, stride)]
 
     def _inv(self, a):
-        zero = self.base.zero().value
+        zero = self.base.zero_value
         if a[0] == zero:
             raise ZeroDivisionError("constant term is 0, not a unit")
         inv0 = self.base._inv(a[0])
@@ -568,7 +585,7 @@ class HbarTruncRing(Ring):
         return tuple(out)
 
     def _is_unit(self, a):
-        return a[0] != self.base.zero().value
+        return a[0] != self.base.zero_value
 
     def element_at(self, index):
         """The index-th element: base-q digits of index, most significant
@@ -586,10 +603,10 @@ class HbarTruncRing(Ring):
         return RingElement(self.base, a.value[0])
 
     def in_maximal_ideal(self, a):
-        return a.value[0] == self.base.zero().value
+        return a.value[0] == self.base.zero_value
 
     def uniformizer(self):
-        zero = self.base.zero().value
+        zero = self.base.zero_value
         one = self.base.one().value
         if self.M == 1:
             return RingElement(self, (zero,))
@@ -611,7 +628,7 @@ class HbarTruncRing(Ring):
     def format_value(self, v):
         parts = []
         for i, c in enumerate(v):
-            if c == self.base.zero().value:
+            if c == self.base.zero_value:
                 continue
             cs = self.base.format_value(c)
             if i == 0:
@@ -622,6 +639,11 @@ class HbarTruncRing(Ring):
         return " + ".join(parts) if parts else "0"
 
     def parse_value(self, text):
+        """Read format_value's text: terms c, h, c*h^e joined by + or -.
+
+        A term in h^e with e outside 0 .. M-1, or two terms in one h^e,
+        raises MalformedValue: the text does not state one element.
+        """
         text = text.strip()
         if text == "0":
             return self.zero()
@@ -631,15 +653,21 @@ class HbarTruncRing(Ring):
             if not part:
                 continue
             if "h" not in part:
-                coeffs[0] = self.base.parse_value(part).value
-                continue
-            cs, _, hs = part.partition("h")
-            cs = cs.strip().rstrip("*").strip()
-            if cs in ("", "-"):
-                cs += "1"
-            e = 1 if not hs.strip() else int(hs.strip().lstrip("^"))
+                cs, e = part, 0
+            else:
+                cs, _, hs = part.partition("h")
+                cs = cs.strip().rstrip("*").strip()
+                if cs in ("", "-"):
+                    cs += "1"
+                e = 1 if not hs.strip() else int(hs.strip().lstrip("^"))
+            if not 0 <= e < self.M:
+                raise MalformedValue(
+                    f"h^{e} in {text!r} is outside h^0 .. h^{self.M - 1}"
+                )
+            if e in coeffs:
+                raise MalformedValue(f"{text!r} has two terms in h^{e}")
             coeffs[e] = self.base.parse_value(cs).value
-        vec = [coeffs.get(i, self.base.zero().value) for i in range(self.M)]
+        vec = [coeffs.get(i, self.base.zero_value) for i in range(self.M)]
         return RingElement(self, tuple(vec))
 
     def __eq__(self, other):
@@ -678,6 +706,24 @@ def make_ring(spec):
     except ValueError as exc:
         raise InvalidModulus(f"bad ring spec {spec!r}: {exc}") from None
     raise InvalidModulus(f"unrecognized ring spec {spec!r}")
+
+
+def scalar_values(elements):
+    """(ring, raw values) of a sequence of ring elements, or None.
+
+    The raw values come back when every element is a RingElement of one
+    ring whose raw values are plain numbers (``scalar_mod`` is not None);
+    otherwise the caller takes its generic path.  The test is on the type:
+    a series also has a ``.ring``, but its value is not a number.
+    """
+    first = elements[0]
+    if type(first) is not RingElement or first.ring.scalar_mod is None:
+        return None
+    ring = first.ring
+    for e in elements:
+        if type(e) is not RingElement or (e.ring is not ring and e.ring != ring):
+            return None
+    return ring, [e.value for e in elements]
 
 
 def residue_field(ring):

@@ -11,13 +11,20 @@ generic over its entries (ring elements, truncated series, or Laurent
 polynomials): anything with +, *, unary -, and one_like/zero_like works,
 and the determinant-1 contract is checked on construction to whatever
 precision the entries can express.
+
+evaluate_word multiplies raw 4-tuples through ``_kernels.mat2_mul`` when
+both images have entries in ``fp:p``, ``padic:p:M`` or ``rational`` (see
+``rings.scalar_values``), and SL2Matrix objects otherwise (hbar values,
+series, Laurent polynomials).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from ._kernels import power
+from ._kernels import mat2_mul, over_common_denominator, power
 from .errors import InvalidKnot, NotUnimodular, RingMismatch, WordSyntaxError
+from .rings import RingElement, scalar_values
 
 
 @dataclass(frozen=True)
@@ -238,6 +245,9 @@ def evaluate_word(word, ma, mb):
     ra, rb = _entry_ring(ma), _entry_ring(mb)
     if ra is not None and rb is not None and ra != rb:
         raise RingMismatch(f"{ra} vs {rb}")
+    raw = scalar_values(ma.entries[0] + ma.entries[1] + mb.entries[0] + mb.entries[1])
+    if raw is not None:
+        return _evaluate_raw(word, *raw)
     result = SL2Matrix.identity_like(ma.entries[0][0])
     inverses = {}
     for gen, exp in word.letters:
@@ -249,3 +259,30 @@ def evaluate_word(word, ma, mb):
         for _ in range(abs(exp)):
             result = result * base
     return result
+
+
+def _evaluate_raw(word, ring, values):
+    """evaluate_word on the raw values of ma and mb (8 numbers, row-major).
+
+    Mod m = p or p^M every product is reduced by mat2_mul.  Over Q each
+    image g is written once as G / d with G integral; the inverse of g is
+    then adj(G) / d, the word is a product of integer matrices, and the
+    product of the d's divides it once at the end.
+    """
+    m = ring.scalar_mod
+    images, dens = {}, {}
+    for gen, g in (("a", values[:4]), ("b", values[4:])):
+        g, dens[gen] = (g, 1) if m else over_common_denominator(g)
+        a, b, c, d = g
+        images[gen, 1], images[gen, -1] = (a, b, c, d), (d, -b, -c, a)
+    result, den = (1, 0, 0, 1), 1
+    for gen, exp in word.letters:
+        g = images[gen, 1 if exp > 0 else -1]
+        for _ in range(abs(exp)):
+            result = mat2_mul(result, g, m)
+        den *= dens[gen] ** abs(exp)
+    if m:
+        a, b, c, d = (RingElement(ring, v) for v in result)
+    else:
+        a, b, c, d = (RingElement(ring, Fraction(v, den)) for v in result)
+    return SL2Matrix(((a, b), (c, d)), check=False)

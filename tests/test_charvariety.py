@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from knotdeform.charvariety import (
     TracePolynomial,
@@ -9,10 +12,10 @@ from knotdeform.charvariety import (
     curve_model,
     trace_reduce,
 )
-from knotdeform.polynomials import BiPoly
+from knotdeform.polynomials import BiPoly, _power_table, horner
 from knotdeform.pseudorep import random_sl2
 from knotdeform.riley import riley_rep, riley_roots
-from knotdeform.rings import PrimeField, Rationals
+from knotdeform.rings import HbarTruncRing, PrimeField, Rationals, RingElement, make_ring
 from knotdeform.words import FreeWord, TwoBridgeKnot, evaluate_word
 
 Q = Rationals()
@@ -180,3 +183,33 @@ def test_trace_polynomial_compares_with_ints():
 def test_trace_polynomial_text():
     poly = trace_reduce("a b a^-1 b^-1")
     assert poly.text() == "-x*z*y + x^2 + z^2 + y^2 - 2"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["fp:7", "fp:10007", f"fp:{2**31 - 1}", "padic:7:2", "padic:13:8", "rational",
+     "hbar:5:3", "hbar:rational:3"],
+)
+def test_trace_polynomial_evaluate_matches_horner(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+
+    def draw():
+        if ring.is_finite:
+            return ring.element_at(rng.randrange(ring.order))
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(3)]
+        return ring(values) if isinstance(ring, HbarTruncRing) else ring(values[0])
+
+    reducer = TraceReducer()
+    polys = [reducer.reduce(w) for w in all_reduced_words(5)[::9]]
+    polys += [TracePolynomial({}), TracePolynomial.constant(-3),
+              TracePolynomial({(3, 0, 2): -7, (0, 4, 0): 5, (1, 1, 1): 1})]
+    for _ in range(3):
+        x, z, y = draw(), draw(), draw()
+        for poly in polys:
+            dx, dz, _ = poly.max_degrees()
+            px, pz = _power_table(x, dx), _power_table(z, dz)
+            expected = horner(poly.terms, lambda k: px[k[0]] * pz[k[1]], y, ring.zero())
+            got = poly.evaluate(x, z, y)
+            assert type(got) is RingElement and got.ring == ring
+            assert got == expected and got.value == ring(got.value).value

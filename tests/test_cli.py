@@ -186,8 +186,13 @@ def test_pseudo_check_files(tmp_path):
         ('{"ring": "fp:7", "entries": [["b", "x"]]}', "entry ['b', 'x']"),
         ('{"ring": "fp:7", "entries": [["a b", "1"], ["ab", "2"]]}',
          "entry ['ab', '2'] repeats the word a b"),
+        ('{"ring": "hbar:5:3", "entries": [["a", "1 + h^5"]]}',
+         "h^5 in '1 + h^5' is outside h^0 .. h^2"),
+        ('{"ring": "hbar:5:3", "entries": [["a", "1 + h + h"]]}',
+         "two terms in h^1"),
     ],
-    ids=["not-json", "no-entries", "bad-value", "repeated-word"],
+    ids=["not-json", "no-entries", "bad-value", "repeated-word", "hbar-exponent",
+         "hbar-repeated-exponent"],
 )
 def test_pseudo_check_malformed_tables(tmp_path, text, fragment):
     path = tmp_path / "table.json"

@@ -114,6 +114,9 @@ COMMANDS = {
     "error-pseudo-check-repeated-word": [
         "pseudo-check", f"{TABLES}/repeated-word.json",
     ],
+    "error-pseudo-check-hbar-exponent": [
+        "pseudo-check", f"{TABLES}/hbar-exponent.json",
+    ],
     "usage-even-m": ["roots", "4", "1", "--prime", "7"],
 }
 
@@ -124,6 +127,8 @@ MALFORMED = {
     "no-entries": '{"ring": "fp:7"}',
     "bad-value": '{"ring": "fp:7", "entries": [["b", "x"]]}',
     "repeated-word": '{"ring": "fp:7", "entries": [["a b", "1"], ["ab", "2"]]}',
+    # h^5 is zero in F_5[h]/h^3: the value is not stated exactly
+    "hbar-exponent": '{"ring": "hbar:5:3", "entries": [["a", "1 + h^5"]]}',
 }
 
 

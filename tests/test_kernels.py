@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from knotdeform import _kernels
 from knotdeform.charvariety import TracePolynomial
 
@@ -60,6 +62,50 @@ def test_61_bit_residues_match_exact_arithmetic():
         a2, b2, c2, d2 = m2 = tuple(rng.randrange(P61) for _ in range(4))
         exact = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
         assert _kernels.mat2_mul(m1, m2, P61) == tuple(v % P61 for v in exact)
+
+
+def _draw(rng, kind):
+    n = rng.randint(-40, 40)
+    if kind == "int" or (kind == "mixed" and rng.randrange(2)):
+        return n
+    return Fraction(n, rng.randint(1, 30))
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "fraction"])
+def test_eval_poly3_over_q_matches_a_fraction_sum(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        items = tuple(
+            ((rng.randrange(6), rng.randrange(6), rng.randrange(6)), rng.randint(-99, 99))
+            for _ in range(rng.randrange(12))
+        )
+        point = [_draw(rng, kind) for _ in range(3)]
+        # an int 1 in front, as in a power table built up from [1]
+        tables = [(1,) + tuple(v**e for e in range(1, 6)) for v in point]
+        x, z, y = map(Fraction, point)
+        expected = sum(
+            (c * x**i * z**j * y**k for (i, j, k), c in items), Fraction(0)
+        )
+        got = _kernels.eval_poly3(items, *tables, 0)
+        assert got == expected
+        # ints stay ints; a Fraction anywhere gives a Fraction
+        ints = all(type(v) is int for v in point)
+        assert type(got) is (int if ints else Fraction)
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "fraction"])
+def test_mat2_mul_over_q_matches_fraction_arithmetic(kind):
+    rng = random.Random(kind)
+    for _ in range(300):
+        m1 = tuple(_draw(rng, kind) for _ in range(4))
+        m2 = tuple(_draw(rng, kind) for _ in range(4))
+        a1, b1, c1, d1 = map(Fraction, m1)
+        a2, b2, c2, d2 = map(Fraction, m2)
+        expected = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        got = _kernels.mat2_mul(m1, m2, 0)
+        assert got == expected
+        ints = all(type(v) is int for v in m1 + m2)
+        assert all(type(v) is (int if ints else Fraction) for v in got)
 
 
 def test_power_skips_the_last_squaring():

@@ -5,6 +5,7 @@ import pytest
 
 from knotdeform.errors import KnotDeformError, NotIntegralDomain
 from knotdeform.pseudorep import (
+    AxiomReport,
     PseudoRepTable,
     WordSet,
     check_axioms_C,
@@ -306,3 +307,59 @@ def test_mutate_table_draws_match_the_enumeration(spec):
         i = ref.randrange(len(table.wordset))
         delta = nonzero[ref.randrange(len(nonzero))]
         assert mutate_table(random.Random(seed), table).values[i] == table.values[i] + delta
+
+
+def _boxed_report(family, table):
+    """The AxiomReport of one family, from RingElement arithmetic and ==."""
+    ring, ws = table.ring, table.wordset
+    T, two, zero = table.values, ring.from_int(2), ring.zero()
+    report = AxiomReport(family)
+
+    def note(axiom, witnesses, residual):
+        report.checked[axiom] = report.checked.get(axiom, 0) + 1
+        if residual != zero:
+            report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
+
+    one = ws.p1_instance()
+    if family == "P":
+        note("P1", (one,), T[one] - two)
+        for a, b, ab, ba in ws.p2_instances():
+            note("P2", (a, b), T[ab] - T[ba])
+        for a, b, c, abc, acb, ab, bc, ac in ws.p3_instances():
+            note("P3", (a, b, c), T[a] * T[b] * T[c] + T[abc] + T[acb]
+                 - T[ab] * T[c] - T[bc] * T[a] - T[ac] * T[b])
+        for g, gg in ws.p4_instances():
+            note("P4", (g,), T[g] * T[g] - T[gg] - two)
+    else:
+        note("C1", (one,), T[one] - two)
+        for a, b, ab, inv in ws.c2_instances():
+            note("C2", (a, b), T[a] * T[b] - T[ab] - T[inv])
+    return report
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["fp:7", "fp:10007", f"fp:{2**31 - 1}", "padic:7:2", "padic:13:8", "rational",
+     "hbar:5:3"],
+)
+def test_axiom_checks_match_boxed_arithmetic(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    violations = 0
+    for ws in (BALL2, SMALL):
+        for _ in range(3):
+            table = random_trace_table(rng, ring, ws)
+            for candidate in (table, mutate_table(rng, table), mutate_table(rng, table)):
+                for family, check in (("P", check_axioms_P), ("C", check_axioms_C)):
+                    got = check(candidate).to_json()
+                    assert got == _boxed_report(family, candidate).to_json(), (spec, family)
+                    violations += len(got["violations"])
+            assert check_axioms_P(table).passed and check_axioms_C(table).passed
+    assert violations > 0
+
+
+def test_ball_is_one_shared_immutable_window():
+    assert WordSet.ball(2) is BALL2
+    assert WordSet.ball(2).products() is BALL2.products()
+    with pytest.raises(AttributeError):
+        BALL2.words = ()

@@ -3,11 +3,14 @@ from fractions import Fraction
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotdeform.errors import (
     CharacteristicTwo,
     InfiniteRing,
     InvalidModulus,
+    MalformedValue,
     NotLocalRing,
     NotPrime,
     PrimeTooLarge,
@@ -21,8 +24,10 @@ from knotdeform.rings import (
     is_prime,
     make_ring,
     residue_field,
+    scalar_values,
     teichmuller_lift,
 )
+from knotdeform.series import TruncSeries
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -260,3 +265,53 @@ def test_domain_and_field_flags():
     assert PadicTruncRing(7, 1).is_field
     assert not H72.is_domain
     assert HbarTruncRing(F7, 1).is_field
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@given(
+    st.sampled_from(["rational", "fp:10007", "padic:13:8", "hbar:5:3", "hbar:rational:3"]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_parse_inverts_format(spec, data):
+    ring = make_ring(spec)
+    if ring.is_finite:
+        value = ring.element_at(data.draw(st.integers(0, ring.order - 1)))
+    elif isinstance(ring, HbarTruncRing):
+        value = ring(data.draw(st.lists(FRACTIONS, min_size=ring.M, max_size=ring.M)))
+    else:
+        value = ring(data.draw(FRACTIONS))
+    assert ring.parse_value(str(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1 + h^5", "h^3", "h^-1", "2*h^-2 + 1", "1 + h + h", "3 + 2", "h^2 - 2*h^2"]
+)
+def test_hbar_parse_rejects_terms_it_cannot_place(text):
+    # over F_5[h]/h^3 each text names no element, or names h^e twice
+    with pytest.raises(MalformedValue):
+        make_ring("hbar:5:3").parse_value(text)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_is_zero_builds_no_zero(ring, monkeypatch):
+    zero, one = ring.zero(), ring.one()
+    monkeypatch.setattr(type(ring), "zero", lambda self: pytest.fail("zero() called"))
+    assert zero.is_zero()
+    assert not one.is_zero()
+    assert not (one + one).is_zero()
+
+
+def test_scalar_values_only_for_plain_number_rings():
+    assert scalar_values([F7(3), F7(5)]) == (F7, [3, 5])
+    assert scalar_values([Z49(48)]) == (Z49, [48])
+    assert scalar_values([Q(Fraction(1, 2)), Q(3)]) == (Q, [Fraction(1, 2), Fraction(3)])
+    assert scalar_values([H72([1, 2])]) is None
+    assert scalar_values([F7(1), PrimeField(11)(1)]) is None
+    assert scalar_values([F7(1), 1]) is None
+    # a series has a .ring too, but it is not a number
+    series = TruncSeries.from_list(F7, "z", [1, 2], 2)
+    assert scalar_values([series, F7(1)]) is None
+    assert scalar_values([F7(1), series]) is None

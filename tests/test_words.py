@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotdeform.errors import InvalidKnot, NotUnimodular, WordSyntaxError
+from knotdeform.errors import InvalidKnot, NotUnimodular, RingMismatch, WordSyntaxError
+from knotdeform.pseudorep import random_sl2
 from knotdeform.riley import c_matrix, d_matrix
-from knotdeform.rings import PrimeField, Rationals
+from knotdeform.rings import PrimeField, Rationals, RingElement, make_ring
+from knotdeform.series import TruncSeries, series_invert
 from knotdeform.words import (
     FreeWord,
     SL2Matrix,
@@ -167,3 +170,66 @@ def test_sl2_det_check():
     assert m * m.inverse() == SL2Matrix.identity_like(Q(1))
     assert m**-2 == (m * m).inverse()
     assert m.trace() == Q(4)
+
+
+def _boxed_fold(word, ma, mb):
+    """The image of a word as a product of SL2Matrix objects, letter by letter."""
+    result = SL2Matrix.identity_like(ma[0, 0])
+    for gen, step in word.single_letters():
+        m = ma if gen == "a" else mb
+        result = result * (m if step > 0 else m.inverse())
+    return result
+
+
+def _sl2_over_q(a, b, c):
+    """[[a, b], [c, (1 + b c) / a]] over Q."""
+    a, b, c = (Q(Fraction(v)) for v in (a, b, c))
+    return SL2Matrix(((a, b), (c, (Q(1) + b * c) * a.inverse())))
+
+
+FIXED_WORDS = [
+    "1", "a", "a^-1", "b^-1", "a^3 b^-2 a^-1 b^4", "b^-3 a^2", "a b a^-1 b^-1",
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["fp:7", "fp:10007", f"fp:{2**31 - 1}", "padic:7:2", "padic:13:8", "rational",
+     "hbar:5:3"],
+)
+def test_evaluate_word_matches_a_boxed_fold(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    words = [FreeWord.from_string(w) for w in FIXED_WORDS]
+    words += [_random_word(rng, 7) for _ in range(12)]
+    pairs = [(random_sl2(rng, ring), random_sl2(rng, ring)) for _ in range(4)]
+    if spec == "rational":
+        # entries with mixed denominators in both images
+        pairs.append((_sl2_over_q("1/2", "3/5", "7/3"), _sl2_over_q("-4/7", "1/9", "3/4")))
+    for ma, mb in pairs:
+        for w in words:
+            got = evaluate_word(w, ma, mb)
+            assert got == _boxed_fold(w, ma, mb), (spec, str(w))
+            for e in (got[0, 0], got[0, 1], got[1, 0], got[1, 1]):
+                assert type(e) is RingElement and e.ring == ring
+                assert e == ring(e.value)  # canonical raw value
+            assert got.det() == ring.one()
+
+
+def test_evaluate_word_rejects_images_over_two_rings():
+    ma = c_matrix(F7(3))
+    mb = d_matrix(PrimeField(11)(3), PrimeField(11)(1))
+    with pytest.raises(RingMismatch):
+        evaluate_word(FreeWord.from_string("a b"), ma, mb)
+
+
+def test_evaluate_word_on_series_entries():
+    # a series has a .ring, but it multiplies as a series, not a raw number
+    t = TruncSeries.from_list(F7, "z", [3, 1], 6)
+    zero = t.zero_like()
+    ma = SL2Matrix(((t, t.one_like()), (zero, series_invert(t))))
+    mb = SL2Matrix(((t, zero), (t * t, series_invert(t))))
+    w = FreeWord.from_string("a^2 b^-1 a^-1 b")
+    got = evaluate_word(w, ma, mb)
+    assert type(got[0, 0]) is TruncSeries
+    assert got == _boxed_fold(w, ma, mb)
