@@ -22,7 +22,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .charvariety import (
     TracePolynomial,
@@ -263,12 +262,7 @@ def _cmd_pseudo_check(args, out):
 
 def _cmd_deform(args, out):
     ring = make_ring(args.coeff)
-    field = residue_field(ring)
-    beta_text = _parse_scalar(args.beta)
-    if isinstance(field, Rationals):
-        beta = field(Fraction(beta_text))
-    else:
-        beta = field(int(beta_text))
+    beta = residue_field(ring).parse_value(_parse_scalar(args.beta))
     data = deformation_data(args.knot, beta, ring, args.prec)
     checks = list(data.verification)
     checks.append(character_check(args.knot, data.A, data.B))

@@ -219,7 +219,7 @@ def ramified_check(u, n_s):
 
     t = (x_s + sqrt_x2m4) * half
     t_inv = series_invert(t)
-    one_value = ring.one().value
+    one_value = ring._from_number(1)
     t_res_ok = t.values[0] == one_value and (prec < 2 or t.values[1] == one_value)
     checks = [
         CheckResult("t_plus_tinv_is_x", t + t_inv == x_s, prec),
@@ -309,7 +309,7 @@ def specialize(a_mat, b_mat, x0, knot=None):
 
     def eval_series(f):
         add, mul, step = ring._add, ring._mul, c.value
-        acc, power = ring.zero().value, ring.one().value
+        acc, power = ring.zero_value, ring._from_number(1)
         for v in f.values:
             acc = add(acc, mul(v, power))
             power = mul(power, step)

@@ -180,10 +180,6 @@ class LaurentBiPoly(_SparseBase):
         return cls({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, e_t, e_u, c=1):
-        return cls({(e_t, e_u): c})
-
-    @classmethod
     def t_power(cls, k):
         return cls({(k, 0): 1})
 

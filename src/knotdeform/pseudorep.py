@@ -246,7 +246,7 @@ class PseudoRepTable:
                 raise MalformedTable(f"entry {entry!r} repeats the word {word}")
             try:
                 mapping[word] = ring.parse_value(entry[1])
-            except (ValueError, ZeroDivisionError, MalformedValue) as exc:
+            except MalformedValue as exc:
                 raise MalformedTable(
                     f"entry {entry!r}: not a {ring} value ({exc})"
                 ) from None

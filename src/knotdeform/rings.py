@@ -9,6 +9,15 @@ canonical representations:
 * ``HbarTruncRing(base, M)`` -- base[h]/h^M, the equal-characteristic model
                                 of base[[h]].
 
+F_p is Z/p^1: ``PrimeField`` and ``PadicTruncRing`` share one modular
+class, ``_IntegersMod``, for all their arithmetic, enumeration, format and
+parse; ``PadicTruncRing`` adds only its local-ring maps.  Every ring sets
+``spec``, its spec string (``fp:7``, ``padic:7:4``, ...), once, and the spec
+is its identity: equality, hash, ``repr`` and ``spec_string`` are stated
+once, on ``Ring``, from it.  ``Ring`` also states once how an element of
+the ring is unboxed and that ``parse_value`` raises ``MalformedValue`` on
+text that states no element.
+
 The two truncated kinds are local; ``residue`` reduces modulo the maximal
 ideal (p resp. h) and ``teichmuller_lift`` provides the multiplicative
 section F_p -> Z/p^M.  Rationals() is treated as a degenerate local ring
@@ -229,14 +238,19 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; subclasses define canonical values and raw ops,
-    and ``zero_value``, the raw zero, made once per ring."""
+    """Common interface.
+
+    A subclass sets ``spec``, its spec string, and ``zero_value``, the raw
+    zero, once per ring; it defines the raw ops, ``_from_number`` (the
+    canonical value of a number) and ``_parse`` (the raw value that a
+    ``format_value`` text states).  ``spec`` is the ring's identity: two
+    rings of one class are equal when their specs are.
+    """
 
     char = None
     is_field = False
     is_domain = False
     is_finite = False
-    is_local = False
     order = None  # element count of a finite ring
     # modulus of a ring whose raw values are plain numbers (0 over Q);
     # None when they are not
@@ -244,6 +258,16 @@ class Ring:
 
     def __call__(self, value):
         return RingElement(self, self._canonical(value))
+
+    def _canonical(self, value):
+        if isinstance(value, RingElement):
+            if value.ring != self:
+                raise RingMismatch(f"{value.ring} vs {self}")
+            return value.value
+        return self._from_number(value)
+
+    def from_int(self, n):
+        return RingElement(self, self._from_number(n))
 
     def zero(self):
         return self.from_int(0)
@@ -260,30 +284,42 @@ class Ring:
     def residue(self, a):
         raise NotLocalRing(f"{self} has no residue map")
 
+    def format_value(self, v):
+        return str(v)
+
     def parse_value(self, text):
-        raise NotImplementedError
+        """Read format_value's text; text that states no element raises
+        MalformedValue."""
+        try:
+            return RingElement(self, self._parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedValue(str(exc)) from None
+
+    def spec_string(self):
+        return self.spec
 
     def __repr__(self):
-        return self.spec_string()
+        return self.spec
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and other.spec == self.spec)
+
+    def __hash__(self):
+        return hash(self.spec)
 
 
 class Rationals(Ring):
+    spec = "rational"
     char = 0
     is_field = True
     is_domain = True
-    is_local = True  # degenerate: maximal ideal (0)
     scalar_mod = 0
     zero_value = Fraction(0)
 
-    def _canonical(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatch(f"{value.ring} vs {self}")
-            return value.value
+    def _from_number(self, value):
         return Fraction(value)
 
-    def from_int(self, n):
-        return RingElement(self, Fraction(n))
+    _parse = _from_number
 
     def _add(self, a, b):
         return a + b
@@ -316,21 +352,6 @@ class Rationals(Ring):
     def in_maximal_ideal(self, a):
         return a.value == 0
 
-    def spec_string(self):
-        return "rational"
-
-    def format_value(self, v):
-        return str(v)
-
-    def parse_value(self, text):
-        return self(Fraction(text))
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rational")
-
 
 def _check_odd_prime(p):
     if not isinstance(p, int) or not is_prime(p):
@@ -339,98 +360,30 @@ def _check_odd_prime(p):
         raise CharacteristicTwo("p = 2 is not supported")
 
 
-class PrimeField(Ring):
-    is_field = True
-    is_domain = True
-    is_finite = True
-
-    def __init__(self, p):
-        _check_odd_prime(p)
-        self.p = p
-        self.char = p
-        self.order = p
-        self.scalar_mod = p
-        self.zero_value = 0
-
-    def _canonical(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatch(f"{value.ring} vs {self}")
-            return value.value
-        return int(value) % self.p
-
-    def from_int(self, n):
-        return RingElement(self, n % self.p)
-
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return -a % self.p
-
-    def _mul(self, a, b):
-        return a * b % self.p
-
-    def _poly_mul(self, a, b, n):
-        """First n coefficients of a * b."""
-        return _kronecker_mod(a, b, n, self.p)
-
-    def _inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return pow(a, -1, self.p)
-
-    def _is_unit(self, a):
-        return a % self.p != 0
-
-    def element_at(self, index):
-        return RingElement(self, index)
-
-    def spec_string(self):
-        return f"fp:{self.p}"
-
-    def format_value(self, v):
-        return str(v)
-
-    def parse_value(self, text):
-        return self(int(text))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("fp", self.p))
+def _check_truncation(M):
+    if not isinstance(M, int) or M < 1:
+        raise InvalidModulus(f"M = {M} must be a positive integer")
 
 
-class PadicTruncRing(Ring):
-    """Z/p^M with the residue map to F_p and the Teichmueller section."""
+class _IntegersMod(Ring):
+    """Z/p^M for an odd prime p, on ints reduced mod p^M: the arithmetic
+    of both PrimeField (M = 1) and PadicTruncRing."""
 
     is_finite = True
-    is_local = True
+    zero_value = 0
 
     def __init__(self, p, M):
         _check_odd_prime(p)
-        if not isinstance(M, int) or M < 1:
-            raise InvalidModulus(f"M = {M} must be a positive integer")
+        _check_truncation(M)
         self.p = p
         self.M = M
-        self.modulus = p**M
-        self.char = self.modulus
-        self.order = self.modulus
-        self.scalar_mod = self.modulus
-        self.zero_value = 0
-        self.is_field = M == 1
-        self.is_domain = M == 1
+        self.modulus = self.char = self.order = self.scalar_mod = p**M
+        self.is_field = self.is_domain = M == 1
 
-    def _canonical(self, value):
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise RingMismatch(f"{value.ring} vs {self}")
-            return value.value
+    def _from_number(self, value):
         return int(value) % self.modulus
 
-    def from_int(self, n):
-        return RingElement(self, n % self.modulus)
+    _parse = _from_number
 
     def _add(self, a, b):
         return (a + b) % self.modulus
@@ -447,7 +400,7 @@ class PadicTruncRing(Ring):
 
     def _inv(self, a):
         if a % self.p == 0:
-            raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.M}")
+            raise ZeroDivisionError(f"{a} is not a unit mod {self.modulus}")
         return pow(a, -1, self.modulus)
 
     def _is_unit(self, a):
@@ -455,6 +408,22 @@ class PadicTruncRing(Ring):
 
     def element_at(self, index):
         return RingElement(self, index)
+
+
+class PrimeField(_IntegersMod):
+    """F_p, the integers mod p^1."""
+
+    def __init__(self, p):
+        super().__init__(p, 1)
+        self.spec = f"fp:{p}"
+
+
+class PadicTruncRing(_IntegersMod):
+    """Z/p^M with the residue map to F_p and the Teichmueller section."""
+
+    def __init__(self, p, M):
+        super().__init__(p, M)
+        self.spec = f"padic:{p}:{M}"
 
     def residue_field(self):
         return PrimeField(self.p)
@@ -479,63 +448,38 @@ class PadicTruncRing(Ring):
             x = y
         raise IterationLimit("Teichmueller iteration failed to stabilize")
 
-    def spec_string(self):
-        return f"padic:{self.p}:{self.M}"
-
-    def format_value(self, v):
-        return str(v)
-
-    def parse_value(self, text):
-        return self(int(text))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicTruncRing)
-            and other.p == self.p
-            and other.M == self.M
-        )
-
-    def __hash__(self):
-        return hash(("padic", self.p, self.M))
-
 
 class HbarTruncRing(Ring):
     """base[h]/h^M over a field base; values are coefficient tuples."""
 
-    is_local = True
-
     def __init__(self, base, M):
         if not isinstance(base, (PrimeField, Rationals)):
             raise NotPrime(f"base of h-truncation must be a field, got {base}")
-        if not isinstance(M, int) or M < 1:
-            raise InvalidModulus(f"M = {M} must be a positive integer")
+        _check_truncation(M)
         self.base = base
         self.M = M
+        self.spec = f"hbar:{base.spec.removeprefix('fp:')}:{M}"
         self.char = base.char
-        self.is_field = M == 1
-        self.is_domain = M == 1
+        self.is_field = self.is_domain = M == 1
         self.is_finite = base.is_finite
         if self.is_finite:
             self.order = base.order**M
         self.zero_value = (base.zero_value,) * M
 
     def _canonical(self, value):
-        if isinstance(value, RingElement):
-            if value.ring == self:
-                return value.value
-            if value.ring == self.base:
-                value = value.value
-            else:
-                raise RingMismatch(f"{value.ring} vs {self}")
+        """Also takes an element of the base ring, as a constant."""
+        if isinstance(value, RingElement) and value.ring == self.base:
+            return self._from_number(value.value)
+        return super()._canonical(value)
+
+    def _from_number(self, value):
+        """One base value, or the coefficients of h^0, h^1, ... in order."""
         if isinstance(value, (list, tuple)):
             coeffs = [self.base._canonical(c) for c in value[: self.M]]
             coeffs += [self.base.zero_value] * (self.M - len(coeffs))
             return tuple(coeffs)
         c0 = self.base._canonical(value)
         return (c0,) + (self.base.zero_value,) * (self.M - 1)
-
-    def from_int(self, n):
-        return RingElement(self, self._canonical(n))
 
     def _add(self, a, b):
         return tuple(map(self.base._add, a, b))
@@ -607,7 +551,7 @@ class HbarTruncRing(Ring):
 
     def uniformizer(self):
         zero = self.base.zero_value
-        one = self.base.one().value
+        one = self.base._from_number(1)
         if self.M == 1:
             return RingElement(self, (zero,))
         return RingElement(self, (zero, one) + (zero,) * (self.M - 2))
@@ -616,14 +560,6 @@ class HbarTruncRing(Ring):
         """The multiplicative section in equal characteristic is constant."""
         val = a.value if isinstance(a, RingElement) else a
         return RingElement(self, self._canonical(self.base._canonical(val)))
-
-    def spec_string(self):
-        base = (
-            str(self.base.p)
-            if isinstance(self.base, PrimeField)
-            else "rational"
-        )
-        return f"hbar:{base}:{self.M}"
 
     def format_value(self, v):
         parts = []
@@ -638,15 +574,15 @@ class HbarTruncRing(Ring):
                 parts.append(mono if cs == "1" else f"{cs}*{mono}")
         return " + ".join(parts) if parts else "0"
 
-    def parse_value(self, text):
-        """Read format_value's text: terms c, h, c*h^e joined by + or -.
+    def _parse(self, text):
+        """Terms c, h, c*h^e joined by + or -.
 
         A term in h^e with e outside 0 .. M-1, or two terms in one h^e,
         raises MalformedValue: the text does not state one element.
         """
         text = text.strip()
         if text == "0":
-            return self.zero()
+            return self.zero_value
         coeffs = {}
         for part in text.replace("- ", "+ -").split("+"):
             part = part.strip()
@@ -666,19 +602,8 @@ class HbarTruncRing(Ring):
                 )
             if e in coeffs:
                 raise MalformedValue(f"{text!r} has two terms in h^{e}")
-            coeffs[e] = self.base.parse_value(cs).value
-        vec = [coeffs.get(i, self.base.zero_value) for i in range(self.M)]
-        return RingElement(self, tuple(vec))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HbarTruncRing)
-            and other.base == self.base
-            and other.M == self.M
-        )
-
-    def __hash__(self):
-        return hash(("hbar", self.base, self.M))
+            coeffs[e] = self.base._parse(cs)
+        return tuple(coeffs.get(i, self.base.zero_value) for i in range(self.M))
 
 
 def make_ring(spec):

@@ -86,7 +86,7 @@ class TruncSeries:
     def constant(cls, ring, var, value, precision):
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        return _raw(ring, var, (ring(value).value,) + (_zero(ring),) * (precision - 1))
+        return _raw(ring, var, (ring(value).value,) + (ring.zero_value,) * (precision - 1))
 
     @classmethod
     def from_list(cls, ring, var, values, precision):
@@ -96,7 +96,7 @@ class TruncSeries:
         return cls(ring, var, values)
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         if self.var != other.var:
             raise VarMismatch(f"{self.var} vs {other.var}")
@@ -110,7 +110,7 @@ class TruncSeries:
         """Extend with zero coefficients (an ansatz, not knowledge)."""
         if precision <= self.precision:
             return self.truncate(precision)
-        extra = (_zero(self.ring),) * (precision - self.precision)
+        extra = (self.ring.zero_value,) * (precision - self.precision)
         return _raw(self.ring, self.var, self.values + extra)
 
     def __add__(self, other):
@@ -160,12 +160,12 @@ class TruncSeries:
     __hash__ = None
 
     def is_zero(self):
-        zero = _zero(self.ring)
+        zero = self.ring.zero_value
         return all(v == zero for v in self.values)
 
     def order(self):
         """Index of the first nonzero known coefficient, or precision."""
-        zero = _zero(self.ring)
+        zero = self.ring.zero_value
         for i, v in enumerate(self.values):
             if v != zero:
                 return i
@@ -175,7 +175,7 @@ class TruncSeries:
         return RingElement(self.ring, self.values[0])
 
     def text(self):
-        zero, fmt = _zero(self.ring), self.ring.format_value
+        zero, fmt = self.ring.zero_value, self.ring.format_value
         parts = []
         for i, v in enumerate(self.values):
             if v == zero:
@@ -240,10 +240,6 @@ def _raw(ring, var, values):
     return series
 
 
-def _zero(ring):
-    return ring.zero().value
-
-
 def series_invert(f):
     """Multiplicative inverse by Newton doubling g <- g(2 - fg)."""
     c0 = f.constant_term()
@@ -298,7 +294,7 @@ def divide_by_var_power(f, k):
         return f
     if k < 0 or k >= f.precision:
         raise NotDivisible(f"cannot divide a precision-{f.precision} series by var^{k}")
-    zero = _zero(f.ring)
+    zero = f.ring.zero_value
     if any(v != zero for v in f.values[:k]):
         raise NotDivisible("a low-order coefficient is nonzero")
     return _raw(f.ring, f.var, f.values[k:])
@@ -308,7 +304,7 @@ def shift_up(f, k):
     """Multiply by var^k; gains k coefficients of precision."""
     if k < 0:
         return divide_by_var_power(f, -k)
-    return _raw(f.ring, f.var, (_zero(f.ring),) * k + f.values)
+    return _raw(f.ring, f.var, (f.ring.zero_value,) * k + f.values)
 
 
 def to_ramified(f):
@@ -318,7 +314,7 @@ def to_ramified(f):
     """
     if f.var != "z":
         raise VarMismatch(f"expected a z-series, got {f.var}")
-    zero = _zero(f.ring)
+    zero = f.ring.zero_value
     return _raw(f.ring, "s", tuple(c for v in f.values for c in (v, zero)))
 
 

@@ -99,6 +99,12 @@ COMMANDS = {
     "error-deform-beta-0": [
         "deform", "3", "1", "--coeff", "rational", "--beta", "0", "--prec", "4",
     ],
+    "error-deform-beta-1-over-0": [
+        "deform", "3", "1", "--coeff", "rational", "--beta", "1/0", "--prec", "4",
+    ],
+    "error-deform-beta-x-fp": [
+        "deform", "3", "1", "--coeff", "fp:7", "--beta", "x", "--prec", "4",
+    ],
     "error-deform-non-residual-beta": [
         "deform", "5", "3", "--coeff", "padic:7:4", "--beta", "2", "--prec", "4",
     ],

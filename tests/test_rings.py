@@ -175,6 +175,10 @@ def test_cross_ring_arithmetic_is_an_error():
         F7(1) + PrimeField(5)(1)
     with pytest.raises(RingMismatch):
         Q(1) * F7(1)
+    # F_7 is Z/7^1, but a padic ring is not a prime field
+    assert F7 != PadicTruncRing(7, 1) and PadicTruncRing(7, 1) != F7
+    with pytest.raises(RingMismatch):
+        F7(1) + PadicTruncRing(7, 1)(1)
 
 
 def test_hbar_arithmetic():
@@ -239,6 +243,27 @@ def test_make_ring_round_trip():
         make_ring("nonsense")
 
 
+@pytest.mark.parametrize(
+    "spec", ["rational", "fp:7", "padic:7:1", "padic:7:4", "hbar:5:3", "hbar:rational:2"]
+)
+def test_ring_identity_is_the_spec(spec):
+    a, b = make_ring(spec), make_ring(spec)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: spec}[b] == spec
+    assert a.spec_string() == repr(a) == spec
+
+
+class _Incomparable:
+    def __eq__(self, other):
+        pytest.fail("spec compared")
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_a_ring_equals_itself_without_comparing_specs(ring, monkeypatch):
+    monkeypatch.setattr(ring, "spec", _Incomparable(), raising=False)
+    assert ring == ring
+
+
 def test_residue_field_helper():
     assert residue_field(Z49) == F7
     assert residue_field(H72) == F7
@@ -293,6 +318,14 @@ def test_hbar_parse_rejects_terms_it_cannot_place(text):
     # over F_5[h]/h^3 each text names no element, or names h^e twice
     with pytest.raises(MalformedValue):
         make_ring("hbar:5:3").parse_value(text)
+
+
+@pytest.mark.parametrize(
+    "ring, text", [(ring, "x") for ring in ALL_RINGS] + [(Q, "1/0"), (H72, "h^x")], ids=str
+)
+def test_parse_value_raises_malformed_value(ring, text):
+    with pytest.raises(MalformedValue):
+        ring.parse_value(text)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
