@@ -23,16 +23,18 @@ shifted variables T_w = X_w + teich(Tbar(w)) the generators are the four
 axiom shapes above, with no simplification attempted.
 
 Each axiom is stated once, as a residual over any indexable T.  The
-checkers hand it the raw values of an ``fp:p``, ``padic:p:M`` or
-``rational`` table (plain numbers, one zero test per residual) and the
-RingElement values of an ``hbar`` table; the relation ideal hands it
+checkers hand it integers, with one zero test per residual modulo m: the
+raw values of an ``fp:p`` or ``padic:p:M`` table, with m = p or p^M, and
+over Q the table's modular image, with m a modulus Q chosen per table so
+large that the test is exact (the bound is derived at ``_rational_image``).
+An ``hbar`` table hands it RingElement values; the relation ideal hands it
 RelationPoly variables.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._kernels import power
+from ._kernels import over_common_denominator, power
 from .errors import (
     KnotDeformError,
     MalformedTable,
@@ -313,9 +315,10 @@ def _check(family, residuals, table):
     """Run one family's residuals over the table and report the nonzero ones.
 
     Over a ring whose raw values are plain numbers the residuals run on
-    those numbers, unreduced, and each gets one zero test: r % m == 0 for
-    the modulus m = p or p^M, r == 0 over Q.  hbar tables run on their
-    RingElement values.
+    integers, unreduced, and each gets one zero test r % m == 0: m is p or
+    p^M, and over Q it is the modulus Q of the table's modular image
+    (``_rational_image``), on which that test is exact.  hbar tables run on
+    their RingElement values.
     """
     ws, ring = table.wordset, table.ring
     m = ring.scalar_mod
@@ -323,7 +326,9 @@ def _check(family, residuals, table):
         T, two, is_zero = table.values, ring.from_int(2), RingElement.is_zero
     else:
         T, two = [v.value for v in table.values], 2
-        is_zero = (lambda r: r % m == 0) if m else (lambda r: r == 0)
+        if not m:
+            T, m = _rational_image(T)
+        is_zero = lambda r: r % m == 0  # noqa: E731
     report = AxiomReport(family)
     checked = report.checked
     # the empty word witnesses every axiom, so each key appears, in order
@@ -332,6 +337,35 @@ def _check(family, residuals, table):
         if not is_zero(r):
             report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
     return report
+
+
+def _rational_image(values):
+    """(images, Q): rationals T_w = N_w / D sent to N_w * D^-1 mod Q, with
+    Q coprime to D and so large that a residual is 0 exactly when its
+    image is 0 mod Q.
+
+    Let B = max(|N_w|, D, 2).  Times D^k, a residual r of degree k <= 3 is
+    a signed sum of products of k numerators and D's, each at most B^k in
+    size, with at most 6 terms counted with multiplicity; _p_residuals and
+    _c_residuals give
+        P1  D r   = N_1 - 2D                                |.| <= 3B
+        P2  D r   = N_ab - N_ba                             |.| <= 2B
+        P3  D^3 r = N_a N_b N_c + D^2 (N_abc + N_acb)
+                    - D (N_ab N_c + N_bc N_a + N_ac N_b)     |.| <= 6B^3
+        P4  D^2 r = N_g^2 - D N_gg - 2D^2                   |.| <= 4B^2
+        C1  D r   = N_1 - 2D                                |.| <= 3B
+        C2  D^2 r = N_a N_b - D (N_ab + N_inv)              |.| <= 3B^2
+    so |D^k r| <= 6B^3 < Q for every instance.  D is a unit mod Q, so
+    r = 0 exactly when D^k r = 0, exactly when Q divides D^k r, exactly
+    when the residual of the images is 0 mod Q.  Q = 1 + D 2^j for the
+    least j with Q > 6B^3 is coprime to D, and D^-1 = -2^j mod Q.
+    """
+    nums, d = over_common_denominator(values)
+    bound = 6 * max(2, d, *map(abs, nums)) ** 3
+    j = (-(-bound // d) - 1).bit_length()  # least j with d 2^j >= bound
+    q = 1 + (d << j)
+    inv = q - (1 << j)
+    return [n * inv % q for n in nums], q
 
 
 def check_axioms_P(table):

@@ -20,9 +20,12 @@ text that states no element.
 
 The two truncated kinds are local; ``residue`` reduces modulo the maximal
 ideal (p resp. h) and ``teichmuller_lift`` provides the multiplicative
-section F_p -> Z/p^M.  Rationals() is treated as a degenerate local ring
-with maximal ideal (0) so that characteristic-zero examples can flow
-through the same deformation code paths.
+section F_p -> Z/p^M.  Their residue fields are F_p resp. the base field
+for every M, M = 1 included, where the ring is itself a field: the
+``residue_field`` method states that rule, and ``residue_field``,
+``to_residue`` and ``lift_residue`` follow it.  Rationals() is treated as
+a degenerate local ring with maximal ideal (0) so that characteristic-zero
+examples can flow through the same deformation code paths.
 
 The raw values of ``fp:p``, ``padic:p:M`` and ``rational`` are plain
 numbers: ints reduced mod ``scalar_mod`` (p or p^M), or Fractions when
@@ -281,6 +284,13 @@ class Ring:
             raise InfiniteRing(f"{self} is not finite")
         return (self.element_at(i) for i in range(self.order))
 
+    def residue_field(self):
+        """Q and F_p are their own residue fields; a local ring overrides
+        this with its quotient by the maximal ideal."""
+        if self.is_field:
+            return self
+        raise NotLocalRing(f"{self} has no residue field")
+
     def residue(self, a):
         raise NotLocalRing(f"{self} has no residue map")
 
@@ -345,9 +355,6 @@ class Rationals(Ring):
 
     def _is_unit(self, a):
         return a != 0
-
-    def residue_field(self):
-        return self
 
     def in_maximal_ideal(self, a):
         return a.value == 0
@@ -652,17 +659,13 @@ def scalar_values(elements):
 
 
 def residue_field(ring):
-    """The residue field of a local ring; fields are their own."""
-    if ring.is_field:
-        return ring
-    if hasattr(ring, "residue_field"):
-        return ring.residue_field()
-    raise NotLocalRing(f"{ring} has no residue field")
+    """The residue field of a local ring; Q and F_p are their own."""
+    return ring.residue_field()
 
 
 def to_residue(a):
-    """Reduce modulo the maximal ideal; identity on fields."""
-    if a.ring.is_field:
+    """Reduce modulo the maximal ideal; identity on Q and F_p."""
+    if a.ring.residue_field() == a.ring:
         return a
     return a.residue()
 

@@ -134,17 +134,19 @@ class TruncSeries:
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, int):
-            other = ring.from_int(other)
-        if isinstance(other, RingElement):
-            if other.ring != ring:
+            c = ring._from_number(other)
+        elif isinstance(other, RingElement):
+            if other.ring is not ring and other.ring != ring:
                 raise RingMismatch(f"{ring} vs {other.ring}")
-            mul, c = ring._mul, other.value
-            return _raw(ring, self.var, tuple([mul(a, c) for a in self.values]))
-        self._check(other)
-        n = min(self.precision, other.precision)
-        a = self.values[:n]
-        b = a if other is self else other.values[:n]
-        return _raw(ring, self.var, tuple(ring._poly_mul(a, b, n)))
+            c = other.value
+        else:
+            self._check(other)
+            n = min(self.precision, other.precision)
+            a = self.values[:n]
+            b = a if other is self else other.values[:n]
+            return _raw(ring, self.var, tuple(ring._poly_mul(a, b, n)))
+        mul = ring._mul
+        return _raw(ring, self.var, tuple([mul(a, c) for a in self.values]))
 
     __rmul__ = __mul__
 

@@ -62,6 +62,10 @@ COMMANDS = {
     "pseudo-check-mutated-json": ["pseudo-check", f"{TABLES}/mutated.json", "--json"],
     "pseudo-check-window": ["pseudo-check", f"{TABLES}/window.json"],
     "pseudo-check-window-json": ["pseudo-check", f"{TABLES}/window.json", "--json"],
+    "pseudo-check-rational-mutated": ["pseudo-check", f"{TABLES}/rational-mutated.json"],
+    "pseudo-check-rational-mutated-json": [
+        "pseudo-check", f"{TABLES}/rational-mutated.json", "--json",
+    ],
     # deform over every coefficient kind
     "deform-5-3-padic-ramified-specialize-json": [
         "deform", "5", "3", "--coeff", "padic:7:4", "--beta", "5", "--prec", "6",
@@ -149,6 +153,9 @@ def write_tables(directory):
         "mutated": mutate_table(rng, good),
         "window": random_trace_table(rng, Rationals(), window),
     }
+    # drawn after the others, so that their tables stay the same
+    rational = random_trace_table(rng, Rationals(), WordSet.ball(2))
+    tables["rational-mutated"] = mutate_table(rng, rational)
     for name, table in tables.items():
         (directory / f"{name}.json").write_text(json.dumps(table.to_json()))
     for name, text in MALFORMED.items():

@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +10,9 @@ from knotdeform.pseudorep import (
     AxiomReport,
     PseudoRepTable,
     WordSet,
+    _c_residuals,
+    _p_residuals,
+    _rational_image,
     check_axioms_C,
     check_axioms_P,
     equivalence_harness,
@@ -17,9 +22,9 @@ from knotdeform.pseudorep import (
     relation_ideal_truncated,
     trace_table,
 )
-from knotdeform.riley import riley_rep, trivial_representation
+from knotdeform.riley import Representation, riley_rep, trivial_representation
 from knotdeform.rings import PadicTruncRing, PrimeField, Rationals, make_ring
-from knotdeform.words import FreeWord, TwoBridgeKnot
+from knotdeform.words import FreeWord, SL2Matrix, TwoBridgeKnot
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -363,3 +368,61 @@ def test_ball_is_one_shared_immutable_window():
     assert WordSet.ball(2).products() is BALL2.products()
     with pytest.raises(AttributeError):
         BALL2.words = ()
+
+
+# Mersenne primes: pairwise coprime denominators of 61 to 127 bits, and a
+# larger prime that only the near-miss deltas bring in
+MERSENNE = [2**e - 1 for e in (61, 89, 107, 127)]
+NEAR_MISS = 2**521 - 1
+DEGREE = {"P1": 1, "P2": 1, "P3": 3, "P4": 2, "C1": 1, "C2": 2}
+
+
+def _adversarial_rational_tables():
+    """(table, mutated) pairs over Q whose entries have numerators near
+    2^200 and coprime prime denominators, so that D has hundreds of bits;
+    each mutation moves one entry by +-1/NEAR_MISS."""
+    rng = random.Random(21)
+
+    def sl2(p, q, r):
+        a = Fraction(2**200 - rng.randrange(1, 2**16), p)
+        b = Fraction(rng.choice([-1, 1]) * (2**200 - rng.randrange(2**16)), q)
+        c = Fraction(rng.randrange(1, 2**16), r)
+        return SL2Matrix(((Q(a), Q(b)), (Q(c), Q((1 + b * c) / a))))
+
+    pairs = []
+    for ws in (BALL2, SMALL):
+        for _ in range(2):
+            p, q, r, s = rng.sample(MERSENNE, 4)
+            table = trace_table(Representation(Q, sl2(p, q, r), sl2(s, p, q)), ws)
+            i = rng.randrange(len(ws))
+            delta = Q(Fraction(rng.choice([-1, 1]), NEAR_MISS))
+            pairs.append((table, table.with_value(i, table.values[i] + delta)))
+    return pairs
+
+
+def test_rational_checks_match_boxed_arithmetic_on_adversarial_tables():
+    violations = 0
+    for table, mutated in _adversarial_rational_tables():
+        assert lcm(*(v.value.denominator for v in table.values)).bit_length() > 300
+        for family, check in (("P", check_axioms_P), ("C", check_axioms_C)):
+            assert check(table).passed
+            got = check(mutated).to_json()
+            assert got == _boxed_report(family, mutated).to_json(), family
+            violations += len(got["violations"])
+    assert violations > 0
+
+
+def test_rational_image_modulus_exceeds_every_cleared_residual():
+    # r = 0 exactly when its image is 0 mod Q, because |D^k r| < Q
+    for pair in _adversarial_rational_tables():
+        for table in pair:
+            ws, values = table.wordset, [v.value for v in table.values]
+            images, q = _rational_image(values)
+            d = lcm(*(v.denominator for v in values))
+            assert q % d == 1
+            assert all(t * d % q == v * d % q for t, v in zip(images, values))
+            for residuals in (_p_residuals, _c_residuals):
+                for axiom, _, r in residuals(ws, values, 2):
+                    cleared = d ** DEGREE[axiom] * r
+                    assert cleared.denominator == 1
+                    assert abs(cleared) < q, axiom

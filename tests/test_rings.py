@@ -22,10 +22,12 @@ from knotdeform.rings import (
     PrimeField,
     Rationals,
     is_prime,
+    lift_residue,
     make_ring,
     residue_field,
     scalar_values,
     teichmuller_lift,
+    to_residue,
 )
 from knotdeform.series import TruncSeries
 
@@ -269,6 +271,24 @@ def test_residue_field_helper():
     assert residue_field(H72) == F7
     assert residue_field(Q) == Q
     assert residue_field(F7) == F7
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["rational", "fp:7", "padic:7:1", "padic:7:4", "hbar:7:1", "hbar:5:3",
+     "hbar:rational:2"],
+)
+def test_one_residue_field_rule(spec):
+    # padic:p:1 and hbar:p:1 are fields, yet their residue field is F_p
+    ring = make_ring(spec)
+    k = ring.residue_field()
+    assert residue_field(ring) == k
+    if k == ring:
+        return  # Q and F_p have no residue map
+    for n in range(-3, 4):
+        x = lift_residue(ring, k.from_int(n))
+        assert x.residue() == to_residue(x) == k.from_int(n)
+        assert lift_residue(ring, x.residue()) == x
 
 
 def test_format_parse_round_trip():
