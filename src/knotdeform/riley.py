@@ -11,12 +11,12 @@ residual specialization Phi(2, u) controls which (alpha, beta) give
 actual representations: Phi(alpha + 1/alpha, beta) = 0 exactly when
 W(alpha, beta) C(alpha) = D(alpha, beta) W(alpha, beta).
 
-riley_data is cached per knot: every downstream battery reuses the same
-symbolic computation.
+riley_data, cached per knot, builds phi from the first row of W alone;
+the full symbolic W is built only when RileyData.W is first read.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
 )
 from .polynomials import BiPoly, LaurentBiPoly, UniPoly, discriminant, symmetric_reduce
-from .rings import is_prime
+from .rings import _signed_slots, is_prime
 from .words import FreeWord, SL2Matrix, TwoBridgeKnot, evaluate_word, schubert_word
 
 MAX_SCAN_PRIME = 10**4
@@ -77,24 +77,51 @@ def d_symbolic():
 @dataclass(frozen=True)
 class RileyData:
     knot: TwoBridgeKnot
-    W: SL2Matrix  # over Z[t^+-, u]
     phi: LaurentBiPoly
     Phi: BiPoly  # in (x, u)
     l: int
     Phi2: UniPoly  # Phi(2, u)
     disc: int
 
+    @cached_property
+    def W(self):  # over Z[t^+-, u]
+        return evaluate_word(schubert_word(self.knot), c_symbolic(), d_symbolic())
+
+
+def _riley_phi(word):
+    """phi = W11 + (1/t - t) W12 from the first row of W: a letter is shifts and adds.
+
+    With L letters, each row entry is one signed Kronecker int: L + 3 bit
+    slots (whole bytes) for t^-(L+1) .. t^(L+1), T = 2L + 3 slots per power
+    of u.  A letter adds at most two entries, so row coefficients stay below
+    2^L and |phi| below 3 * 2^L, with one bit for the sign.  t r = r << w,
+    u r = r << wT, and t^-1 r = r >> w is exact: the lowest slot is zero.
+    """
+    L = sum(abs(e) for _, e in word.letters)
+    nbytes = (L + 10) // 8
+    w, T = 8 * nbytes, 2 * L + 3
+    r0, r1 = 1 << w * (L + 1), 0
+    for gen, e in word.letters:
+        for _ in range(abs(e)):
+            if gen == "a" and e > 0:  # C = [[t, 1], [0, 1/t]]
+                r0, r1 = r0 << w, r0 + (r1 >> w)
+            elif gen == "a":  # C^-1 = [[1/t, -1], [0, t]]
+                r0, r1 = r0 >> w, (r1 << w) - r0
+            elif e > 0:  # D = [[t, 0], [u, 1/t]]
+                r0, r1 = (r0 << w) + (r1 << w * T), r1 >> w
+            else:  # D^-1 = [[1/t, 0], [-u, t]]
+                r0, r1 = (r0 >> w) - (r1 << w * T), r1 << w
+    slots = _signed_slots(r0 + (r1 >> w) - (r1 << w), nbytes)
+    return LaurentBiPoly({(j % T - L - 1, j // T): c for j, c in enumerate(slots) if c})
+
 
 @lru_cache(maxsize=None)
 def _riley_data(m, n):
     knot = TwoBridgeKnot(m, n)
-    word = schubert_word(knot)
-    W = evaluate_word(word, c_symbolic(), d_symbolic())
-    tinv_minus_t = LaurentBiPoly({(-1, 0): 1, (1, 0): -1})
-    phi = W[0, 0] + tinv_minus_t * W[0, 1]
+    phi = _riley_phi(schubert_word(knot))
     Phi, l = symmetric_reduce(phi)
     Phi2 = Phi.eval_first(2)
-    return RileyData(knot, W, phi, Phi, l, Phi2, discriminant(Phi2))
+    return RileyData(knot, phi, Phi, l, Phi2, discriminant(Phi2))
 
 
 def riley_data(knot):

@@ -106,6 +106,19 @@ def _slots(packed, width, n):
     return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
 
 
+def _signed_slots(packed, width, n=None):
+    """The first n (default: all) slots of a packed int of signed slots.
+
+    Each slot holds a value below half its range in magnitude; adding that
+    half to every slot makes each one nonnegative, with no borrows.
+    """
+    count = packed.bit_length() // (8 * width) + 1
+    n = count if n is None else n
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * max(n, count), "little")
+    half = 1 << (8 * width - 1)
+    return [c - half for c in _slots(packed + bias, width, n)]
+
+
 def _kronecker_mod(a, b, n, m):
     """First n coefficients of the product of two lists of residues mod m.
 
@@ -141,9 +154,7 @@ def _kronecker_signed(a, b, n):
             offset * len(values), "little"
         )
 
-    length = max(n, len(a) + len(b) - 1)
-    packed = pack(a) * pack(b) + int.from_bytes(offset * length, "little")
-    return [c - half for c in _slots(packed, width, n)]
+    return _signed_slots(pack(a) * pack(b), width, n)
 
 
 class RingElement:

@@ -54,6 +54,8 @@ COMMANDS = {
     # larger knots
     "riley-25-7-json": ["riley", "25", "7", "--json"],
     "charvar-101-31-json": ["charvar", "101", "31", "--json"],
+    # disc and Phi(2, u) of the largest ladder knot
+    "roots-151-41-p101": ["roots", "151", "41", "--prime", "101"],
     "trace-reduce-json": ["trace-reduce", "aabAB", "--json"],
     # pseudo-check on seeded tables
     "pseudo-check-pass": ["pseudo-check", f"{TABLES}/pass.json"],

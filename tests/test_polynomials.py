@@ -212,6 +212,19 @@ def test_discriminant_vanishes_iff_gcd_nonconstant():
     assert seen_zero
 
 
+def test_discriminant_and_resultant_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    count = 0
+    for knot in valid_knots(25):
+        phi2 = riley_data(knot).Phi2
+        f = sympy.Poly(list(reversed(phi2.coeffs)), u)
+        assert discriminant(phi2) == sympy.discriminant(f), knot
+        assert resultant(phi2, phi2.derivative()) == sympy.resultant(f, f.diff(u)), knot
+        count += 1
+    assert count == 136
+
+
 def test_evaluate_examples():
     trefoil = BiPoly({(2, 0): 1, (0, 1): 1, (0, 0): -3})
     assert trefoil.evaluate({"x": Q(2), "u": Q(-1)}).is_zero()

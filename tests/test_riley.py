@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+from knotdeform import riley
 from knotdeform.errors import (
     BadCharacteristic,
     NoConjugator,
@@ -11,8 +14,11 @@ from knotdeform.errors import (
 from knotdeform.polynomials import BiPoly, LaurentBiPoly, UniPoly, expand_in_t
 from knotdeform.riley import (
     Representation,
+    _riley_phi,
     c_matrix,
+    c_symbolic,
     d_matrix,
+    d_symbolic,
     find_conjugator,
     is_abs_irreducible,
     riley_data,
@@ -64,6 +70,27 @@ def test_phi_round_trip_battery_m45():
 @pytest.mark.parametrize("m, n", [(3, 1), (5, 3), (5, 1), (7, 3), (9, 5)])
 def test_word_matrix_is_unimodular(m, n):
     data = riley_data(TwoBridgeKnot(m, n))
+    assert data.W.det() == LaurentBiPoly.one()
+
+
+# b(101,31) has rows of 63-bit coefficients: slots of L/2 bits plus a byte
+# pass every knot with m <= 35 but fail there
+@pytest.mark.parametrize(
+    "knots", [list(valid_knots(35)), [TwoBridgeKnot(101, 31)]], ids=["m<=35", "b(101,31)"]
+)
+def test_packed_phi_matches_full_word_matrix(knots):
+    tinv_minus_t = LaurentBiPoly({(-1, 0): 1, (1, 0): -1})
+    for knot in knots:
+        word = schubert_word(knot)
+        W = evaluate_word(word, c_symbolic(), d_symbolic())
+        assert _riley_phi(word).terms == (W[0, 0] + tinv_minus_t * W[0, 1]).terms, knot
+
+
+def test_word_matrix_stays_lazy(monkeypatch):
+    fresh = lru_cache(maxsize=None)(riley._riley_data.__wrapped__)
+    monkeypatch.setattr(riley, "_riley_data", fresh)
+    data = riley_data(TwoBridgeKnot(7, 3))
+    assert "W" not in vars(data)
     assert data.W.det() == LaurentBiPoly.one()
 
 
