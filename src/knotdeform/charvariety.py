@@ -12,8 +12,10 @@ x = tr(a), z = tr(b), y = tr(ab), valid for every determinant-1 pair over
 every commutative ring.  The engine applies the Cayley-Hamilton trace
 identity tr(UV) = tr(U) tr(V) - tr(U^-1 V) together with tr(U) = tr(U^-1)
 and cyclic invariance, on a measure (letter count, inverse-letter count)
-that strictly decreases, with memoization on the cyclic/inverse canonical
-form of the word.
+that strictly decreases, with memoization on the cyclically reduced word
+as written.  x, z and y are algebraically independent on the character
+variety of the free group (Horowitz 1972), so the memo key only decides
+which sub-words share work, never the answer.
 
 TracePolynomial.evaluate at elements of ``fp:p``, ``padic:p:M`` or
 ``rational`` runs evaluate_int on their raw values (``_kernels.eval_poly3``,
@@ -161,21 +163,6 @@ def _codes(word):
     return tuple(out)
 
 
-def _canonical(codes):
-    """Minimum over cyclic rotations of the word and of its inverse."""
-    if not codes:
-        return codes
-    inv = tuple(_INV[c] for c in reversed(codes))
-    n = len(codes)
-    best = None
-    for seq in (codes, inv):
-        for i in range(n):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def _cyclic_reduce(codes):
     while len(codes) >= 2 and codes[0] == _INV[codes[-1]]:
         codes = codes[1:-1]
@@ -183,7 +170,8 @@ def _cyclic_reduce(codes):
 
 
 class TraceReducer:
-    """Memoized reducer; one instance shares work across many words."""
+    """Memoized reducer; one instance shares work across many words.
+    ``_memo`` keys each cyclically reduced word as written."""
 
     def __init__(self):
         self._memo = {}
@@ -197,24 +185,17 @@ class TraceReducer:
         codes = _cyclic_reduce(codes)
         if not codes:
             return _TWO
-        key = _canonical(codes)
-        hit = self._memo.get(key)
+        hit = self._memo.get(codes)
         if hit is not None:
             return hit
-        result = self._compute(key)
-        self._memo[key] = result
+        result = self._compute(codes)
+        self._memo[codes] = result
         return result
 
     def _compute(self, s):
         n = len(s)
         if n == 1:
             return _X if s[0] in (0, 2) else _Z
-        # power of a single generator: tr(g^k) = tr(g) tr(g^(k-1)) - tr(g^(k-2))
-        if all(c == s[0] for c in s):
-            g = (s[0],)
-            return self._reduce(g) * self._reduce(g * (n - 1)) - self._reduce(
-                g * (n - 2)
-            )
         # cyclic double letter: rotate it to the front and split off one copy
         for i in range(n):
             if s[i] == s[(i + 1) % n]:
@@ -245,9 +226,9 @@ def trace_reduce(word):
     return TraceReducer().reduce(word)
 
 
-def all_reduced_words(max_letters, include_empty=True):
+def all_reduced_words(max_letters):
     """Every freely reduced word in a, b of total letter count <= bound."""
-    words = [()] if include_empty else []
+    words = [()]
     frontier = [()]
     for _ in range(max_letters):
         nxt = []

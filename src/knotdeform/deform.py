@@ -294,12 +294,7 @@ def specialize(a_mat, b_mat, x0, knot=None):
     if sample.ring != ring:
         raise RingMismatch(f"{sample.ring} series, {ring} point")
     c = x0 - ring.from_int(2)
-    in_max = (
-        ring.in_maximal_ideal(c)
-        if hasattr(ring, "in_maximal_ideal")
-        else c.is_zero()
-    )
-    if not in_max:
+    if not ring.in_maximal_ideal(c):
         raise NotInMaximalIdeal(f"x0 - 2 = {c} is not in the maximal ideal")
     prec = _matrix_min_precision(a_mat, b_mat)
     if not (c**prec).is_zero():

@@ -269,7 +269,11 @@ def _nullspace(rows, ring):
     return basis
 
 
-def find_conjugator(rho1, rho2, sample_words=None):
+# words on which find_conjugator checks rho2(w) gamma = gamma rho1(w)
+_CONJUGATOR_CHECK_WORDS = ("a b", "a b^-1", "a^2 b", "b a b a^-1", "a b a b^-1 a^-1")
+
+
+def find_conjugator(rho1, rho2):
     """Solve rho2(g) gamma = gamma rho1(g) for g in {a, b} over a field.
 
     Requires matching traces on a, b, ab and a residually absolutely
@@ -318,9 +322,7 @@ def find_conjugator(rho1, rho2, sample_words=None):
     mat = SL2Matrix(
         ((gamma[0], gamma[1]), (gamma[2], gamma[3])), check=False
     )
-    if sample_words is None:
-        sample_words = ("a b", "a b^-1", "a^2 b", "b a b a^-1", "a b a b^-1 a^-1")
-    for wtext in sample_words:
+    for wtext in _CONJUGATOR_CHECK_WORDS:
         w = FreeWord.from_string(wtext)
         if rho2(w) * mat != mat * rho1(w):
             raise NoConjugator(f"verification failed on {wtext!r}")

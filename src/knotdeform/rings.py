@@ -424,6 +424,9 @@ class _IntegersMod(Ring):
     def _is_unit(self, a):
         return a % self.p != 0
 
+    def in_maximal_ideal(self, a):
+        return a.value % self.p == 0
+
     def element_at(self, index):
         return RingElement(self, index)
 
@@ -448,9 +451,6 @@ class PadicTruncRing(_IntegersMod):
 
     def residue(self, a):
         return PrimeField(self.p).from_int(a.value)
-
-    def in_maximal_ideal(self, a):
-        return a.value % self.p == 0
 
     def uniformizer(self):
         return self.from_int(self.p)

@@ -123,6 +123,18 @@ def test_trace_reduce_invariances():
         assert reducer.reduce(a.inverse() * w * a) == reducer.reduce(w)
 
 
+def test_trace_reduce_is_invariant_on_every_short_word():
+    # the memo is keyed on the word as written, so no key enforces this
+    reducer = TraceReducer()
+    for w in all_reduced_words(7):
+        poly = reducer.reduce(w)
+        assert reducer.reduce(w.inverse()) == poly, w
+        letters = list(w.single_letters())
+        for i in range(1, len(letters)):
+            rotation = FreeWord(letters[i:] + letters[:i])
+            assert reducer.reduce(rotation) == poly, (w, i)
+
+
 def _direct_trace(word, ma, mb):
     return evaluate_word(word, ma, mb).trace()
 

@@ -57,6 +57,8 @@ COMMANDS = {
     # disc and Phi(2, u) of the largest ladder knot
     "roots-151-41-p101": ["roots", "151", "41", "--prime", "101"],
     "trace-reduce-json": ["trace-reduce", "aabAB", "--json"],
+    # an 11-letter word: a deep reduction with many shared sub-words
+    "trace-reduce-long": ["trace-reduce", "a b^-1 a^2 b a^-1 b^2 a^-2 b"],
     # pseudo-check on seeded tables
     "pseudo-check-pass": ["pseudo-check", f"{TABLES}/pass.json"],
     "pseudo-check-pass-json": ["pseudo-check", f"{TABLES}/pass.json", "--json"],

@@ -291,6 +291,19 @@ def test_one_residue_field_rule(spec):
         assert lift_residue(ring, x.residue()) == x
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+def test_maximal_ideal_is_the_non_units(ring):
+    # every ring here is local; deform.specialize relies on this method
+    if ring.is_finite:
+        elems = list(islice(ring.elements(), 60))
+    else:
+        elems = [ring.zero(), ring.one(), ring.from_int(-3)]
+        if isinstance(ring, HbarTruncRing):
+            elems += [ring.uniformizer(), ring.one() + ring.uniformizer()]
+    for x in elems:
+        assert ring.in_maximal_ideal(x) == (not x.is_unit()), x
+
+
 def test_format_parse_round_trip():
     values = {
         Q: [Q(Fraction(-3, 4)), Q(5)],
