@@ -15,7 +15,10 @@ and cyclic invariance, on a measure (letter count, inverse-letter count)
 that strictly decreases, with memoization on the cyclically reduced word
 as written.  x, z and y are algebraically independent on the character
 variety of the free group (Horowitz 1972), so the memo key only decides
-which sub-words share work, never the answer.
+which sub-words share work, never the answer.  The work grows
+exponentially with the length of some words, so a word of more than
+MAX_TRACE_LETTERS letters, counted after free reduction, raises
+WordTooLong.
 
 TracePolynomial.evaluate at elements of ``fp:p``, ``padic:p:M`` or
 ``rational`` runs evaluate_int on their raw values (``_kernels.eval_poly3``,
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .polynomials import BiPoly, _power_table, _SparseBase, horner
+from .errors import WordTooLong
 from .riley import riley_data
 from .rings import scalar_values
 from .words import FreeWord, TwoBridgeKnot
@@ -147,6 +151,12 @@ def _int_powers(v, n, mod):
 
 # --- the reduction engine ---
 
+# The longest word, in letters after free reduction, that TraceReducer
+# takes.  The slowest words found at this length, a^2 B^2 and B^2 a B^2 a^2
+# repeated, reduce in about 2 s on a 2-vCPU x86-64 machine (CPython 3.11),
+# and their time grows about 1.3x per letter; most words are far faster.
+MAX_TRACE_LETTERS = 38
+
 # letter codes: a=0, b=1, a^-1=2, b^-1=3; inverse is code^2 in the 4-group
 _INV = (2, 3, 0, 1)
 _TWO = TracePolynomial.constant(2)
@@ -179,6 +189,11 @@ class TraceReducer:
     def reduce(self, word):
         if isinstance(word, str):
             word = FreeWord.from_string(word)
+        if len(word) > MAX_TRACE_LETTERS:
+            raise WordTooLong(
+                f"trace reduction takes words of at most {MAX_TRACE_LETTERS} "
+                f"letters, not {len(word)}"
+            )
         return self._reduce(_codes(word))
 
     def _reduce(self, codes):

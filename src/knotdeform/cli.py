@@ -8,6 +8,7 @@ One subcommand per pipeline stage plus a batch verification mode:
     roots m n --prime p      residual roots in F_p
     charvar m n              character-variety curve factors
     trace-reduce WORD        trace of a word as a polynomial in x, z, y
+                             (at most MAX_TRACE_LETTERS = 38 letters)
     pseudo-check TABLE.json  axiom checkers on a stored trace table
     deform m n --coeff ...   explicit universal deformation (+ checks)
     verify-all               the whole invariant battery
@@ -24,6 +25,7 @@ import random
 import sys
 
 from .charvariety import (
+    MAX_TRACE_LETTERS,
     TracePolynomial,
     TraceReducer,
     all_reduced_words,
@@ -114,7 +116,10 @@ def build_parser():
     knot_args(p)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("trace-reduce", help="trace polynomial of a word")
+    p = sub.add_parser(
+        "trace-reduce",
+        help=f"trace polynomial of a word of at most {MAX_TRACE_LETTERS} letters",
+    )
     p.add_argument("word", nargs="+")
     p.add_argument("--json", action="store_true")
 

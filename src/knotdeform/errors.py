@@ -111,6 +111,10 @@ class WordSyntaxError(KnotDeformError):
     pass
 
 
+class WordTooLong(KnotDeformError):
+    """A word is longer than trace reduction takes (MAX_TRACE_LETTERS)."""
+
+
 class MalformedTable(KnotDeformError):
     """A stored pseudo-representation table is not a valid table file."""
 

@@ -23,12 +23,14 @@ shifted variables T_w = X_w + teich(Tbar(w)) the generators are the four
 axiom shapes above, with no simplification attempted.
 
 Each axiom is stated once, as a residual over any indexable T.  The
-checkers hand it integers, with one zero test per residual modulo m: the
-raw values of an ``fp:p`` or ``padic:p:M`` table, with m = p or p^M, and
-over Q the table's modular image, with m a modulus Q chosen per table so
-large that the test is exact (the bound is derived at ``_rational_image``).
-An ``hbar`` table hands it RingElement values; the relation ideal hands it
-RelationPoly variables.
+checkers hand it integers on every ring (``_int_image``), with an exact
+zero test per residual modulo m: the raw values of an ``fp:p`` or
+``padic:p:M`` table, with m = p or p^M, and over Q the table's modular
+image, with m a modulus Q chosen per table so large that the test is exact
+(the bound is derived at ``_rational_image``).  An ``hbar`` value becomes
+one Kronecker int whose slots are its h-coefficients, taken as ints in the
+same way, and a residual is zero when its low M slots are all 0 mod m.
+The relation ideal hands the residuals RelationPoly variables.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +44,7 @@ from .errors import (
     NotIntegralDomain,
     RingMismatch,
 )
-from .rings import PadicTruncRing, PrimeField, RingElement, make_ring
+from .rings import PadicTruncRing, PrimeField, RingElement, _lane, _pack, _slots, make_ring
 from .words import FreeWord
 
 
@@ -314,32 +316,63 @@ def _c_residuals(ws, T, two):
 def _check(family, residuals, table):
     """Run one family's residuals over the table and report the nonzero ones.
 
-    Over a ring whose raw values are plain numbers the residuals run on
-    integers, unreduced, and each gets one zero test r % m == 0: m is p or
-    p^M, and over Q it is the modulus Q of the table's modular image
-    (``_rational_image``), on which that test is exact.  hbar tables run on
-    their RingElement values.
+    The residuals run on the table's integer image (``_int_image``),
+    unreduced, and each gets that image's zero test.
     """
-    ws, ring = table.wordset, table.ring
-    m = ring.scalar_mod
-    if m is None:
-        T, two, is_zero = table.values, ring.from_int(2), RingElement.is_zero
-    else:
-        T, two = [v.value for v in table.values], 2
-        if not m:
-            T, m = _rational_image(T)
-        is_zero = lambda r: r % m == 0  # noqa: E731
+    ws = table.wordset
+    T, is_zero = _int_image(table)
     report = AxiomReport(family)
     checked = report.checked
     # the empty word witnesses every axiom, so each key appears, in order
-    for axiom, witnesses, r in residuals(ws, T, two):
+    for axiom, witnesses, r in residuals(ws, T, 2):
         checked[axiom] = checked.get(axiom, 0) + 1
         if not is_zero(r):
             report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
     return report
 
 
-def _rational_image(values):
+def _int_image(table):
+    """(T, is_zero): the table's values as ints, and an exact zero test for
+    a residual computed on them.
+
+    ``fp:p`` and ``padic:p:M`` values are their raw ints, and a residual is
+    zero when m = p resp. p^M divides it.  Over Q the values go through
+    ``_rational_image``, with its modulus Q as m.
+
+    An ``hbar`` value is a polynomial in h with M base coefficients.  They
+    become ints as above, below m (p, or Q of one modular image of every
+    coefficient in the table), and are packed as the slots of one Kronecker
+    int, so that the integer product of two values is their product in
+    Z[h].  Slot k of a residual is then its integer coefficient of h^k, a
+    signed sum of at most 6 terms (see ``_rational_image``); for k < M each
+    term is a sum of at most M(M+1)/2 <= M^2 products of at most three
+    coefficients, or the constant 2, so |slot k| <= 6 M^2 m^3.  Adding a
+    multiple of m of at least that bound to each of the low M slots makes
+    them nonnegative, with no borrows, and leaves them the same mod m; the
+    residual is zero in base[h]/h^M when all M are 0 mod m.  Over Q the
+    bound of ``_rational_image`` is scaled by M^2 for the same count.
+    """
+    ring = table.ring
+    raw = [v.value for v in table.values]
+    m = ring.scalar_mod
+    if m is not None:
+        if not m:
+            raw, m = _rational_image(raw)
+        return raw, lambda r: r % m == 0
+    M, m = ring.M, ring.base.scalar_mod
+    coeffs = [c for v in raw for c in v]
+    if not m:
+        coeffs, m = _rational_image(coeffs, M * M)
+    bound = 6 * M * M * m**3
+    shift = -(-bound // m) * m  # the least multiple of m >= bound
+    width = _lane(((shift + bound).bit_length() + 7) // 8)
+    bias = int.from_bytes(shift.to_bytes(width, "little") * M, "little")
+    low = (1 << (8 * width * M)) - 1
+    T = [_pack(coeffs[i:i + M], width) for i in range(0, len(coeffs), M)]
+    return T, lambda r: not any(c % m for c in _slots((r + bias) & low, width, M))
+
+
+def _rational_image(values, scale=1):
     """(images, Q): rationals T_w = N_w / D sent to N_w * D^-1 mod Q, with
     Q coprime to D and so large that a residual is 0 exactly when its
     image is 0 mod Q.
@@ -358,10 +391,13 @@ def _rational_image(values):
     so |D^k r| <= 6B^3 < Q for every instance.  D is a unit mod Q, so
     r = 0 exactly when D^k r = 0, exactly when Q divides D^k r, exactly
     when the residual of the images is 0 mod Q.  Q = 1 + D 2^j for the
-    least j with Q > 6B^3 is coprime to D, and D^-1 = -2^j mod Q.
+    least j with Q > 6B^3 is coprime to D, and D^-1 = -2^j mod Q.  The
+    values may be the h-coefficients of an ``hbar`` table: each term of a
+    residual's coefficient of h^k then sums at most scale = M^2 products
+    (``_int_image``), and Q > 6 scale B^3.
     """
     nums, d = over_common_denominator(values)
-    bound = 6 * max(2, d, *map(abs, nums)) ** 3
+    bound = 6 * scale * max(2, d, *map(abs, nums)) ** 3
     j = (-(-bound // d) - 1).bit_length()  # least j with d 2^j >= bound
     q = 1 + (d << j)
     inv = q - (1 << j)

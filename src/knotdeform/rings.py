@@ -31,14 +31,25 @@ The raw values of ``fp:p``, ``padic:p:M`` and ``rational`` are plain
 numbers: ints reduced mod ``scalar_mod`` (p or p^M), or Fractions when
 ``scalar_mod`` is 0.  Hot loops (word products, trace evaluation, axiom
 residuals) take ``scalar_values`` of such elements and run on the raw
-numbers, boxing only their results; ``hbar`` values are coefficient
-tuples, with ``scalar_mod`` None, and stay on the generic RingElement
-arithmetic, as do series and other entry types.
+numbers, boxing only their results.  ``hbar`` values are coefficient
+tuples, with ``scalar_mod`` None; word products and trace evaluation run
+them on the generic RingElement arithmetic, as they do series and other
+entry types, while the axiom residuals pack each value's coefficients into
+one Kronecker int (``pseudorep._int_image``).
+
+Kronecker substitution (``_kronecker_mod``, ``_kronecker_signed``) packs a
+list of ints into the slots of one big int.  A slot of at most 8 bytes is
+rounded up to an array lane of 1, 2, 4 or 8 bytes, and ``_pack``,
+``_slots`` and ``_signed_slots`` write and read such slots in C through
+``array``, in little-endian order on every host; a wider slot goes through
+``int.to_bytes`` one slot at a time.
 
 p = 2 is rejected everywhere: 2 must be invertible for the trace identity
 machinery and the square roots used by the deformation matrices.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 
 from ._kernels import over_common_denominator, power
@@ -92,31 +103,95 @@ def is_prime(n):
     return True
 
 
+# Kronecker slots of 1, 2, 4 or 8 bytes are read and written as the lanes of
+# an array, in C; wider slots go byte string by byte string.  The type
+# codes are picked by item size: {size: (unsigned code, signed code)}.
+_LANES = {array(u).itemsize: (u, s) for u, s in zip("BHILQ", "bhilq")}
+# a slot width of 1 .. 8 bytes rounded up to the next lane
+_LANE_UP = {w: min(size for size in _LANES if size >= w) for w in range(1, 9)}
+
+
+def _lane(width):
+    """The slot width in bytes that packing uses for width bytes: the next
+    array lane up to 8 bytes, width itself beyond."""
+    return _LANE_UP.get(width, width)
+
+
+def _little(arr):
+    """arr with little-endian items: byteswapped in place on a big-endian
+    host.  The swap is its own inverse, so this serves pack and unpack."""
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr
+
+
 def _pack(values, width):
     """Kronecker packing: sum of values[i] * 256^(width * i), values >= 0."""
+    lane = _LANES.get(width)
+    if lane:
+        return int.from_bytes(_little(array(lane[0], values)), "little")
     return int.from_bytes(
         b"".join([v.to_bytes(width, "little") for v in values]), "little"
     )
 
 
-def _slots(packed, width, n):
-    """The first n width-byte slots of a packed product, as ints."""
+def _read(packed, width, n, code):
+    """The first n width-byte slots of a packed int >= 0, read as array
+    items of the type code, or as unsigned byte strings if code is None."""
     size = max(n * width, (packed.bit_length() + 7) // 8)
     buf = packed.to_bytes(size, "little")
-    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+    if code is None:
+        return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+    arr = array(code)
+    arr.frombytes(memoryview(buf)[:n * width])
+    return _little(arr).tolist()
+
+
+def _slots(packed, width, n):
+    """The first n width-byte slots of a packed product, as ints."""
+    lane = _LANES.get(width)
+    return _read(packed, width, n, lane and lane[0])
+
+
+def _sign_bits(width, n):
+    """The top bit of each of n width-byte slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _signed_slots(packed, width, n=None):
     """The first n (default: all) slots of a packed int of signed slots.
 
-    Each slot holds a value below half its range in magnitude; adding that
-    half to every slot makes each one nonnegative, with no borrows.
+    Each slot holds a value below half its range in magnitude.  Adding that
+    half to every slot makes each one nonnegative, with no borrows; in an
+    array lane, flipping the top bits back leaves each slot in two's
+    complement, which the signed type code reads.
     """
     count = packed.bit_length() // (8 * width) + 1
     n = count if n is None else n
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * max(n, count), "little")
+    bias = _sign_bits(width, max(n, count))
+    lane = _LANES.get(width)
+    if lane:
+        return _read((packed + bias) ^ bias, width, n, lane[1])
     half = 1 << (8 * width - 1)
-    return [c - half for c in _slots(packed + bias, width, n)]
+    return [c - half for c in _read(packed + bias, width, n, None)]
+
+
+def _pack_signed(values, width):
+    """sum of values[i] * 256^(width * i) for |values[i]| below half a slot.
+
+    Each slot is written in two's complement and read back unsigned, so a
+    negative slot stands 256^width too high; its top bit is set, and one
+    subtraction of those top bits, doubled, takes the excess off them all.
+    """
+    lane = _LANES.get(width)
+    if lane:
+        u = int.from_bytes(_little(array(lane[1], values)), "little")
+    else:
+        u = int.from_bytes(
+            b"".join([v.to_bytes(width, "little", signed=True) for v in values]),
+            "little",
+        )
+    return u - ((u & _sign_bits(width, len(values))) << 1)
 
 
 def _kronecker_mod(a, b, n, m):
@@ -126,7 +201,7 @@ def _kronecker_mod(a, b, n, m):
     below m^2, so slots of 2 bits(m) + bits(min length) bits never carry
     into each other.
     """
-    width = (2 * m.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    width = _lane((2 * m.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8)
     pa = _pack(a, width)
     pb = pa if b is a else _pack(b, width)
     return [c % m for c in _slots(pa * pb, width, n)]
@@ -135,26 +210,19 @@ def _kronecker_mod(a, b, n, m):
 def _kronecker_signed(a, b, n):
     """First n coefficients of the product of two lists of integers.
 
-    Each slot holds a value shifted by half its range, so signed values pack
-    and unpack without borrows; one slot bit beyond the magnitude bound
-    holds the sign.
+    Slots hold signed values; one slot bit beyond the magnitude bound holds
+    the sign.
     """
     bits = (
-        max(abs(v) for v in a).bit_length()
-        + max(abs(v) for v in b).bit_length()
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    offset = b"\0" * (width - 1) + b"\x80"
-
-    def pack(values):
-        return _pack([v + half for v in values], width) - int.from_bytes(
-            offset * len(values), "little"
-        )
-
-    return _signed_slots(pack(a) * pack(b), width, n)
+    width = _lane((bits + 7) // 8)
+    pa = _pack_signed(a, width)
+    pb = pa if b is a else _pack_signed(b, width)
+    return _signed_slots(pa * pb, width, n)
 
 
 class RingElement:

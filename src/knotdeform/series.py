@@ -19,16 +19,18 @@ works on raw values; ``coeffs`` boxes them only for callers that ask.
 
 Products go through the ring's ``_poly_mul``, which uses Kronecker
 substitution: a coefficient list c_0 .. c_(n-1) is packed into the single
-integer sum c_i * 2^(w i) (with ``int.to_bytes``/``int.from_bytes``), one
-big-integer product does the whole convolution, and the slots of the
-result are read back.  The packing is exact when no product coefficient
-overflows its w-bit slot.  Over Z/m a product coefficient is a sum of at
-most n terms below m^2, so w = 2 bits(m) + bits(n), rounded up to whole
-bytes, suffices, with one reduction mod m per slot at the end.  Over Q both
-lists are cleared to a common denominator first; the slot width is the sum
-of the two largest numerator bit lengths plus bits(n) plus a sign bit, each
-slot is offset by half its range so signed values need no borrows, and one
-division per coefficient follows.  Over base[h]/h^M each coefficient
+integer sum c_i * 2^(w i), one big-integer product does the whole
+convolution, and the slots of the result are read back.  The packing is
+exact when no product coefficient overflows its w-bit slot.  Over Z/m a
+product coefficient is a sum of at most n terms below m^2, so
+w = 2 bits(m) + bits(n) suffices, with one reduction mod m per slot at the
+end.  Over Q both lists are cleared to a common denominator first; the
+slot width is the sum of the two largest numerator bit lengths plus
+bits(n) plus a sign bit, slots hold signed values in two's complement, and
+one division per coefficient follows.  w is rounded up to whole bytes, and
+a width of at most 8 bytes on to the next array lane of 1, 2, 4 or 8
+bytes: such slots are packed and read in C (``array``), wider ones with
+``int.to_bytes``/``int.from_bytes`` one slot at a time.  Over base[h]/h^M each coefficient
 becomes 2M - 1 base slots (M values, M - 1 zeros) so that h-degrees up to
 2M - 2 stay in place, the base ring's product runs once, and the result is
 folded back and truncated mod h^M.

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from knotdeform.charvariety import (
+    MAX_TRACE_LETTERS,
     TracePolynomial,
     TraceReducer,
     all_reduced_words,
@@ -12,6 +13,7 @@ from knotdeform.charvariety import (
     curve_model,
     trace_reduce,
 )
+from knotdeform.errors import WordTooLong
 from knotdeform.polynomials import BiPoly, _power_table, horner
 from knotdeform.pseudorep import random_sl2
 from knotdeform.riley import riley_rep, riley_roots
@@ -106,6 +108,21 @@ def test_trace_reduce_base_cases():
     assert reducer.reduce("a a") == X * X - 2
     assert reducer.reduce("a^-1") == X
     assert reducer.reduce("b a") == Y
+
+
+def test_trace_reduce_caps_the_word_length():
+    reducer = TraceReducer()
+    # tr a^n = x tr a^(n-1) - tr a^(n-2), up to the cap
+    powers = [TracePolynomial.constant(2), X]
+    while len(powers) <= MAX_TRACE_LETTERS:
+        powers.append(X * powers[-1] - powers[-2])
+    assert reducer.reduce(f"a^{MAX_TRACE_LETTERS}") == powers[-1]
+    # letters are counted after free reduction
+    assert reducer.reduce(f"a^{MAX_TRACE_LETTERS + 20} a^-20") == powers[-1]
+    for text in (f"a^{MAX_TRACE_LETTERS + 1}", "a^600", "a^1000000000",
+                 "aB" * (MAX_TRACE_LETTERS // 2 + 1)):
+        with pytest.raises(WordTooLong):
+            reducer.reduce(text)
 
 
 def test_trace_reduce_commutator():

@@ -121,6 +121,8 @@ COMMANDS = {
     ],
     "error-roots-disc": ["roots", "5", "3", "--prime", "3"],
     "error-trace-reduce-syntax": ["trace-reduce", "a c"],
+    # past the letter cap of trace reduction (charvariety.MAX_TRACE_LETTERS)
+    "error-trace-reduce-too-long": ["trace-reduce", "a^600"],
     "error-pseudo-check-missing-file": ["pseudo-check", f"{TABLES}/missing.json"],
     "error-pseudo-check-not-json": ["pseudo-check", f"{TABLES}/not-json.json"],
     "error-pseudo-check-no-entries": ["pseudo-check", f"{TABLES}/no-entries.json"],

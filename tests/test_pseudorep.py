@@ -363,6 +363,48 @@ def test_axiom_checks_match_boxed_arithmetic(spec):
     assert violations > 0
 
 
+def _hbar_sl2(rng, ring):
+    """A determinant-1 matrix over base[h]/h^M with every h-coefficient drawn."""
+    if ring.base.is_finite:
+        draw = lambda: ring.base.element_at(rng.randrange(ring.base.order))  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))  # noqa: E731
+    while True:
+        a, b, c = (ring([draw() for _ in range(ring.M)]) for _ in range(3))
+        if a.is_unit():
+            return SL2Matrix(((a, b), (c, (1 + b * c) / a)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["hbar:3:8", "hbar:7:1", "hbar:7:3", "hbar:13:6", "hbar:rational:2",
+     "hbar:rational:3"],
+)
+def test_hbar_checks_match_boxed_arithmetic_in_every_h_degree(spec):
+    # a change to one entry in h^k leaves every residual the same below h^k,
+    # so the mutation in h^(M-1) shows only in the top slot
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    if ring.base.is_finite:
+        nonzero = lambda: 1 + rng.randrange(ring.base.order - 1)  # noqa: E731
+    else:
+        nonzero = lambda: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))  # noqa: E731
+    for _ in range(2):
+        rho = Representation(ring, _hbar_sl2(rng, ring), _hbar_sl2(rng, ring))
+        table = trace_table(rho, BALL2)
+        for family, check in (("P", check_axioms_P), ("C", check_axioms_C)):
+            assert check(table).to_json() == _boxed_report(family, table).to_json()
+            assert check(table).passed
+        for k in range(ring.M):
+            i = 1 + rng.randrange(len(BALL2) - 1)  # any word but the empty one
+            delta = ring([0] * k + [nonzero()])
+            mutated = table.with_value(i, table.values[i] + delta)
+            for family, check in (("P", check_axioms_P), ("C", check_axioms_C)):
+                got = check(mutated).to_json()
+                assert got == _boxed_report(family, mutated).to_json(), (family, k)
+                assert got["violations"], (family, k)
+
+
 def test_ball_is_one_shared_immutable_window():
     assert WordSet.ball(2) is BALL2
     assert WordSet.ball(2).products() is BALL2.products()

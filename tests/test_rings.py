@@ -21,6 +21,10 @@ from knotdeform.rings import (
     PadicTruncRing,
     PrimeField,
     Rationals,
+    _pack,
+    _pack_signed,
+    _signed_slots,
+    _slots,
     is_prime,
     lift_residue,
     make_ring,
@@ -381,3 +385,62 @@ def test_scalar_values_only_for_plain_number_rings():
     series = TruncSeries.from_list(F7, "z", [1, 2], 2)
     assert scalar_values([series, F7(1)]) is None
     assert scalar_values([F7(1), series]) is None
+
+
+# Kronecker packing, against the byte-string comprehensions that packed every
+# slot width before slots of 1, 2, 4 and 8 bytes became array lanes
+
+
+def ref_pack(values, width):
+    return int.from_bytes(
+        b"".join([v.to_bytes(width, "little") for v in values]), "little"
+    )
+
+
+def ref_slots(packed, width, n):
+    size = max(n * width, (packed.bit_length() + 7) // 8)
+    buf = packed.to_bytes(size, "little")
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+
+
+def ref_signed_slots(packed, width, n=None):
+    count = packed.bit_length() // (8 * width) + 1
+    n = count if n is None else n
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * max(n, count), "little")
+    half = 1 << (8 * width - 1)
+    return [c - half for c in ref_slots(packed + bias, width, n)]
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_pack_and_slots_match_the_byte_string_reference(width):
+    rng = random.Random(width)
+    top = 256**width - 1
+    values = [0, top, 0, 0, top, top] + [rng.randrange(top + 1) for _ in range(20)] + [top]
+    packed = _pack(values, width)
+    assert packed == ref_pack(values, width)
+    assert packed.bit_length() == 8 * width * len(values)
+    for n in (1, len(values) - 1, len(values), len(values) + 3):
+        assert _slots(packed, width, n) == ref_slots(packed, width, n)
+    assert _slots(packed, width, len(values)) == values
+    assert _slots(0, width, 4) == ref_slots(0, width, 4) == [0] * 4
+    assert _pack([], width) == 0
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_signed_slots_match_the_byte_string_reference(width):
+    rng = random.Random(-width)
+    edge = (1 << (8 * width - 1)) - 1  # half the slot range, less one
+    for values in (
+        [0, edge, -edge, 0, -edge, edge, 1, -1],
+        [-edge, -edge, -edge],
+        [edge] * 3 + [0, 0],
+        [rng.randint(-edge, edge) for _ in range(30)],
+    ):
+        packed = sum(v << (8 * width * i) for i, v in enumerate(values))
+        assert _pack_signed(values, width) == packed
+        for n in (1, len(values), len(values) + 2):
+            assert _signed_slots(packed, width, n) == ref_signed_slots(packed, width, n)
+        assert _signed_slots(packed, width, len(values)) == values
+        assert _signed_slots(packed, width) == ref_signed_slots(packed, width)
+        assert _signed_slots(-packed, width, len(values)) == [-v for v in values]
+    assert _signed_slots(0, width, 3) == ref_signed_slots(0, width, 3) == [0] * 3

@@ -289,6 +289,24 @@ def test_packed_product_matches_schoolbook(pair):
         # 8 + 8 + bits(255) magnitude bits fill three bytes exactly, so only
         # the sign bit keeps the slots apart
         ("rational", -255, 255),
+        # 2 bits(m) + bits(N) magnitude bits that fill exactly 1, 2, 4, 8 and
+        # 9 bytes: slots that are array lanes as they stand, and the first
+        # width past the widest lane
+        ("fp:7", 6, 3),
+        ("fp:61", 60, 15),
+        ("fp:8191", 8190, 63),
+        (f"fp:{2**29 - 3}", 2**29 - 4, 63),
+        ("padic:3:20", 3**20 - 1, 255),
+        # 2 bits(top) + bits(N) + 1 sign bit that fill exactly 1, 2, 4, 8 and
+        # 9 bytes
+        ("rational", -3, 7),
+        ("rational", -63, 7),
+        ("rational", -(2**14 - 1), 7),
+        ("rational", -(2**30 - 1), 7),
+        ("rational", -(2**34 - 1), 7),
+        # 6 + 6 + bits(15) magnitude bits fill two bytes exactly: the sign bit
+        # makes the width 3 bytes, and so the 4-byte lane
+        ("rational", -63, 15),
     ],
 )
 def test_packed_product_slot_width_edge(spec, top, N):
