@@ -11,7 +11,9 @@ One subcommand per pipeline stage plus a batch verification mode:
                              (at most MAX_TRACE_LETTERS = 38 letters)
     pseudo-check TABLE.json  axiom checkers on a stored trace table
     deform m n --coeff ...   explicit universal deformation (+ checks)
-    verify-all               the whole invariant battery
+    verify-all               the whole invariant battery (knots up to
+                             MAX_BATTERY_M = 75, primes up to
+                             MAX_BATTERY_PRIME = 211)
 
 Output is deterministic: fixed term order, fixed JSON key order, all
 numbers as decimal strings, randomness only through --seed (default 0).
@@ -20,7 +22,6 @@ Exit codes: 0 ok, 1 domain error, 2 verification failure, 64 usage.
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -38,7 +39,7 @@ from .deform import (
     specialization_point,
     specialize,
 )
-from .errors import InvalidKnot, KnotDeformError, MalformedTable
+from .errors import BatteryTooLarge, InvalidKnot, KnotDeformError, MalformedTable
 from .polynomials import expand_in_t
 from .pseudorep import (
     HarnessVerdict,
@@ -70,6 +71,13 @@ from .words import (
 )
 
 USAGE_EXIT = 64
+
+# The largest verify-all inputs.  Measured on 2 vCPUs (CPython 3.11): the
+# factoring battery scans p^2 points per prime and knot, so --primes 211
+# takes 7.9 s; --max-m 75 takes 6.6 s, and the time grows about as m^4.5
+# (1.7 s at 51, 25 s at 101).
+MAX_BATTERY_M = 75
+MAX_BATTERY_PRIME = 211
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,9 +152,10 @@ def build_parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-all", help="run the full invariant battery")
-    p.add_argument("--max-m", type=int, default=25)
+    p.add_argument("--max-m", type=int, default=25,
+                   help=f"knots b(m, n) with m at most {MAX_BATTERY_M}")
     p.add_argument("--primes", default="3,5,7,11",
-                   help="comma-separated odd primes")
+                   help=f"comma-separated odd primes, each at most {MAX_BATTERY_PRIME}")
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -482,8 +491,18 @@ def _battery_deformations():
 
 
 def _cmd_verify_all(args, out):
-    rng = random.Random(args.seed)
     primes = args.prime_list
+    if args.max_m > MAX_BATTERY_M:
+        raise BatteryTooLarge(
+            f"verify-all takes --max-m at most {MAX_BATTERY_M}, got {args.max_m}"
+        )
+    for p in primes:
+        if p > MAX_BATTERY_PRIME:
+            raise BatteryTooLarge(
+                f"verify-all takes primes at most {MAX_BATTERY_PRIME}, got {p}"
+            )
+        PrimeField(p)  # NotPrime or CharacteristicTwo before any battery runs
+    rng = random.Random(args.seed)
     batteries = [
         ("epsilon_palindrome", lambda: _battery_epsilon(args.max_m)),
         ("residual_polynomials", lambda: _battery_residual(args.max_m)),
@@ -502,18 +521,12 @@ def _cmd_verify_all(args, out):
         ("teichmuller_lifts", lambda: _battery_teichmuller()),
         ("deformations", lambda: _battery_deformations()),
     ]
-    use_color = (
-        os.environ.get("KNOTDEFORM_NO_COLOR") is None and out.isatty()
-    )
     all_ok = True
     width = max(len(name) for name, _ in batteries)
     for name, runner in batteries:
         ok, detail = runner()
         all_ok &= ok
         verdict = "PASS" if ok else "FAIL"
-        if use_color:
-            color = "\x1b[32m" if ok else "\x1b[31m"
-            verdict = f"{color}{verdict}\x1b[0m"
         out.write(f"{name.ljust(width)}  {verdict}  {detail}\n")
     out.write("all checks passed\n" if all_ok else "FAILURES detected\n")
     return 0 if all_ok else 2

@@ -29,7 +29,7 @@ from .errors import (
     RingMismatch,
 )
 from .riley import Representation, c_matrix, d_matrix, riley_data
-from .rings import RingElement, make_ring, residue_field, to_residue
+from .rings import RingElement, make_ring, residue_field, residue_of, to_residue
 from .series import (
     TruncSeries,
     divide_by_var_power,
@@ -74,21 +74,13 @@ def _first_mismatch(m1, m2):
     return ""
 
 
-def _normalize_beta(beta, coeff_ring):
-    k = residue_field(coeff_ring)
-    beta_res = to_residue(beta) if beta.ring == coeff_ring else beta
-    if beta_res.ring != k:
-        raise RingMismatch(f"beta lives in {beta_res.ring}, expected {k}")
-    return beta_res
-
-
 def hensel_u(knot, beta, coeff_ring, N):
     """The unique unit series u with Phi(x, u) = 0 lifting beta."""
     data = riley_data(knot)
-    beta_res = _normalize_beta(beta, coeff_ring)
+    beta_res = residue_of(coeff_ring, beta)
     if beta_res.is_zero():
         raise NonUnitU("beta = 0 gives a reducible residual; rejected")
-    p = residue_field(coeff_ring).char
+    p = beta_res.ring.char
     if p and data.disc % p == 0:
         raise BadCharacteristic(
             f"residue characteristic {p} divides disc = {data.disc}"
@@ -128,8 +120,8 @@ def _matrix_min_precision(*mats):
 def verify_deformation(knot, a_mat, b_mat, beta):
     """The four deformation checks, each reported with its precision."""
     ring = a_mat.entries[0][0].ring
-    k = residue_field(ring)
-    beta_res = beta if beta.ring == k else to_residue(beta)
+    beta_res = residue_of(ring, beta)
+    k = beta_res.ring
     checks = []
 
     word = schubert_word(knot)
@@ -281,13 +273,12 @@ def ramified_check(u, n_s):
     return checks
 
 
-def specialize(a_mat, b_mat, x0, knot=None):
+def specialize(a_mat, b_mat, x0, knot):
     """Substitute x = x0 with x0 - 2 nilpotent; returns a representation.
 
     The series tails must genuinely vanish: (x0 - 2)^P = 0 for the joint
     entry precision P, otherwise the substitution would depend on unknown
-    coefficients.  When the knot is supplied the relator is verified in
-    the target ring.
+    coefficients.  The knot's relator is verified in the target ring.
     """
     ring = x0.ring
     sample = a_mat.entries[0][0]
@@ -304,10 +295,9 @@ def specialize(a_mat, b_mat, x0, knot=None):
 
     def eval_series(f):
         add, mul, step = ring._add, ring._mul, c.value
-        acc, power = ring.zero_value, ring._from_number(1)
-        for v in f.values:
-            acc = add(acc, mul(v, power))
-            power = mul(power, step)
+        acc = ring.zero_value
+        for v in reversed(f.values):
+            acc = add(mul(acc, step), v)
         return RingElement(ring, acc)
 
     def eval_matrix(m):
@@ -317,10 +307,9 @@ def specialize(a_mat, b_mat, x0, knot=None):
 
     image_a = eval_matrix(a_mat)
     image_b = eval_matrix(b_mat)
-    if knot is not None:
-        w = evaluate_word(schubert_word(knot), image_a, image_b)
-        if w * image_a != image_b * w:
-            raise NotInMaximalIdeal("specialized matrices fail the relator")
+    w = evaluate_word(schubert_word(knot), image_a, image_b)
+    if w * image_a != image_b * w:
+        raise NotInMaximalIdeal("specialized matrices fail the relator")
     return Representation(ring, image_a, image_b)
 
 
@@ -389,7 +378,7 @@ def deformation_data(knot, beta, coeff_ring, N):
             f"z-precision must be at least 2 (B's off-diagonal divides by z), "
             f"got {N}"
         )
-    beta_res = _normalize_beta(beta, coeff_ring)
+    beta_res = residue_of(coeff_ring, beta)
     u = hensel_u(knot, beta_res, coeff_ring, N)
     v, a_mat, b_mat = deformation_matrices(u)
     verification = verify_deformation(knot, a_mat, b_mat, beta_res)

@@ -115,6 +115,11 @@ class WordTooLong(KnotDeformError):
     """A word is longer than trace reduction takes (MAX_TRACE_LETTERS)."""
 
 
+class BatteryTooLarge(KnotDeformError):
+    """A verify-all input is past its cap (cli.MAX_BATTERY_M or
+    cli.MAX_BATTERY_PRIME)."""
+
+
 class MalformedTable(KnotDeformError):
     """A stored pseudo-representation table is not a valid table file."""
 

@@ -44,7 +44,7 @@ from .errors import (
     NotIntegralDomain,
     RingMismatch,
 )
-from .rings import PadicTruncRing, PrimeField, RingElement, _lane, _pack, _slots, make_ring
+from .rings import PadicTruncRing, PrimeField, RingElement, _lane, _pack, _signed_slots, make_ring
 from .words import FreeWord
 
 
@@ -321,11 +321,9 @@ def _check(family, residuals, table):
     """
     ws = table.wordset
     T, is_zero = _int_image(table)
-    report = AxiomReport(family)
-    checked = report.checked
-    # the empty word witnesses every axiom, so each key appears, in order
+    covered = {axiom: n for axiom, n in ws.coverage().items() if axiom[0] == family}
+    report = AxiomReport(family, covered)
     for axiom, witnesses, r in residuals(ws, T, 2):
-        checked[axiom] = checked.get(axiom, 0) + 1
         if not is_zero(r):
             report.violations.append((axiom, tuple(ws.words[i] for i in witnesses)))
     return report
@@ -344,13 +342,13 @@ def _int_image(table):
     coefficient in the table), and are packed as the slots of one Kronecker
     int, so that the integer product of two values is their product in
     Z[h].  Slot k of a residual is then its integer coefficient of h^k, a
-    signed sum of at most 6 terms (see ``_rational_image``); for k < M each
-    term is a sum of at most M(M+1)/2 <= M^2 products of at most three
-    coefficients, or the constant 2, so |slot k| <= 6 M^2 m^3.  Adding a
-    multiple of m of at least that bound to each of the low M slots makes
-    them nonnegative, with no borrows, and leaves them the same mod m; the
-    residual is zero in base[h]/h^M when all M are 0 mod m.  Over Q the
-    bound of ``_rational_image`` is scaled by M^2 for the same count.
+    signed sum of at most 6 terms (see ``_rational_image``).  For every
+    h-degree k <= 3M - 3 each term is a sum of at most M^2 index triples
+    or M index pairs, products of at most three coefficients, or the
+    constant 2, so |slot k| <= 6 M^2 m^3 in every slot, and a slot one bit
+    wider holds it signed (``_signed_slots``).  The residual is zero in
+    base[h]/h^M when its low M slots are all 0 mod m.  Over Q the bound of
+    ``_rational_image`` is scaled by M^2 for the same count.
     """
     ring = table.ring
     raw = [v.value for v in table.values]
@@ -363,13 +361,10 @@ def _int_image(table):
     coeffs = [c for v in raw for c in v]
     if not m:
         coeffs, m = _rational_image(coeffs, M * M)
-    bound = 6 * M * M * m**3
-    shift = -(-bound // m) * m  # the least multiple of m >= bound
-    width = _lane(((shift + bound).bit_length() + 7) // 8)
-    bias = int.from_bytes(shift.to_bytes(width, "little") * M, "little")
-    low = (1 << (8 * width * M)) - 1
+    # a sign bit above |slot| <= 6 M^2 m^3
+    width = _lane(((6 * M * M * m**3).bit_length() + 8) // 8)
     T = [_pack(coeffs[i:i + M], width) for i in range(0, len(coeffs), M)]
-    return T, lambda r: not any(c % m for c in _slots((r + bias) & low, width, M))
+    return T, lambda r: not any(c % m for c in _signed_slots(r, width, M))
 
 
 def _rational_image(values, scale=1):
@@ -459,8 +454,6 @@ def equivalence_harness(table):
     ring = table.ring
     if not ring.is_domain:
         raise NotIntegralDomain(f"{ring} has a nontrivial truncation ideal")
-    if ring.char == 2:  # unreachable: ring constructors reject p = 2
-        raise NotIntegralDomain("characteristic 2 is excluded")
     return HarnessVerdict(check_axioms_P(table), check_axioms_C(table))
 
 

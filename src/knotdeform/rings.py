@@ -23,9 +23,10 @@ ideal (p resp. h) and ``teichmuller_lift`` provides the multiplicative
 section F_p -> Z/p^M.  Their residue fields are F_p resp. the base field
 for every M, M = 1 included, where the ring is itself a field: the
 ``residue_field`` method states that rule, and ``residue_field``,
-``to_residue`` and ``lift_residue`` follow it.  Rationals() is treated as
-a degenerate local ring with maximal ideal (0) so that characteristic-zero
-examples can flow through the same deformation code paths.
+``to_residue``, ``residue_of`` and ``lift_residue`` follow it.
+Rationals() is treated as a degenerate local ring with maximal ideal (0)
+so that characteristic-zero examples can flow through the same
+deformation code paths.
 
 The raw values of ``fp:p``, ``padic:p:M`` and ``rational`` are plain
 numbers: ints reduced mod ``scalar_mod`` (p or p^M), or Fractions when
@@ -747,6 +748,17 @@ def to_residue(a):
     if a.ring.residue_field() == a.ring:
         return a
     return a.residue()
+
+
+def residue_of(ring, a):
+    """a itself when a lies in the residue field of ring, and a's residue
+    when a lies in ring; an element of any other ring raises RingMismatch."""
+    k = ring.residue_field()
+    if a.ring == k:
+        return a
+    if a.ring == ring:
+        return ring.residue(a)
+    raise RingMismatch(f"{a.ring} is neither {ring} nor its residue field {k}")
 
 
 def lift_residue(ring, a):

@@ -47,7 +47,7 @@ from .errors import (
     VarMismatch,
 )
 from .polynomials import _power_table, horner
-from .rings import RingElement, lift_residue, residue_field, to_residue
+from .rings import RingElement, lift_residue, residue_of
 
 
 class TruncSeries:
@@ -343,9 +343,9 @@ def eval_bipoly(F, assignment):
     )
 
 
-def x_series(ring, N, var="z"):
-    """The coordinate x = var + 2 (z = x - 2) as a series."""
-    return TruncSeries.from_list(ring, var, [2, 1], N)
+def x_series(ring, N):
+    """The coordinate x = z + 2 as a series in z."""
+    return TruncSeries.from_list(ring, "z", [2, 1], N)
 
 
 def newton_root(F, u0, ring, N):
@@ -357,10 +357,8 @@ def newton_root(F, u0, ring, N):
     F(z + 2, u) = 0 modulo (z^N, ring truncation) and is the unique such
     series with the given residual constant term.
     """
-    k = residue_field(ring)
-    u0_res = to_residue(u0) if u0.ring == ring else u0
-    if u0_res.ring != k:
-        raise RingMismatch(f"u0 lives in {u0_res.ring}, expected {k} or {ring}")
+    u0_res = residue_of(ring, u0)
+    k = u0_res.ring
     Fu = F.derivative(1)
     two = k.from_int(2)
     if not F.evaluate({F.varnames[0]: two, F.varnames[1]: u0_res}).is_zero():

@@ -218,6 +218,18 @@ def test_verify_all_small():
     assert "\x1b[" not in out  # no ANSI color on a non-tty stream
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_verify_all_on_a_terminal_prints_no_color():
+    out = _Terminal()
+    code = run(parse_args(["verify-all", "--max-m", "5", "--primes", "3"]), out, io.StringIO())
+    assert code == 0 and "all checks passed" in out.getvalue()
+    assert "\x1b[" not in out.getvalue()
+
+
 def test_no_color_env(monkeypatch):
     monkeypatch.setenv("KNOTDEFORM_NO_COLOR", "1")
     code, out, _ = invoke(["verify-all", "--max-m", "5", "--primes", "3"])

@@ -20,6 +20,7 @@ from knotdeform.errors import (
     NonUnitU,
     NotInMaximalIdeal,
     PrecisionTooLow,
+    RingMismatch,
 )
 from knotdeform.pseudorep import WordSet, check_axioms_C, check_axioms_P, trace_table
 from knotdeform.riley import riley_rep
@@ -230,6 +231,17 @@ def test_beta_can_be_given_in_the_coefficient_ring():
     beta_in_ring = ring(3)
     data = deformation_data(FIG8, beta_in_ring, ring, 4)
     assert data.passed
+
+
+def test_beta_from_another_ring_is_rejected():
+    ring = PadicTruncRing(7, 3)
+    data = deformation_data(FIG8, F7(3), ring, 4)
+    assert verify_deformation(FIG8, data.A, data.B, ring(3)) == data.verification
+    for beta in (PrimeField(11)(3), PadicTruncRing(7, 2)(3), Q(3)):
+        with pytest.raises(RingMismatch):
+            deformation_data(FIG8, beta, ring, 4)
+        with pytest.raises(RingMismatch):
+            verify_deformation(FIG8, data.A, data.B, beta)
 
 
 def test_specialization_point_large_exponent_padic():

@@ -123,6 +123,11 @@ COMMANDS = {
     "error-trace-reduce-syntax": ["trace-reduce", "a c"],
     # past the letter cap of trace reduction (charvariety.MAX_TRACE_LETTERS)
     "error-trace-reduce-too-long": ["trace-reduce", "a^600"],
+    # past the caps of verify-all (cli.MAX_BATTERY_M, cli.MAX_BATTERY_PRIME),
+    # and a prime it cannot use: each raised before any battery runs
+    "error-verify-all-max-m-past-cap": ["verify-all", "--max-m", "77"],
+    "error-verify-all-prime-past-cap": ["verify-all", "--primes", "3,223"],
+    "error-verify-all-prime-0": ["verify-all", "--primes", "0"],
     "error-pseudo-check-missing-file": ["pseudo-check", f"{TABLES}/missing.json"],
     "error-pseudo-check-not-json": ["pseudo-check", f"{TABLES}/not-json.json"],
     "error-pseudo-check-no-entries": ["pseudo-check", f"{TABLES}/no-entries.json"],

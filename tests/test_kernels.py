@@ -139,3 +139,17 @@ def test_package_is_stdlib_only_with_no_build_step():
                 )
     built = [p.name for p in PACKAGE.iterdir() if p.suffix in (".pyx", ".c", ".so")]
     assert built == []
+
+
+def test_no_module_reads_the_environment():
+    # output depends on the arguments alone
+    for path in PACKAGE.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name

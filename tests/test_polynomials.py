@@ -225,6 +225,33 @@ def test_discriminant_and_resultant_agree_with_sympy():
     assert count == 136
 
 
+def test_symmetric_reduce_and_expand_in_t_agree_with_sympy():
+    # sympy expands t^(D+l) (t^-l Phi(t + 1/t, u)) = sum c (t^2 + 1)^i t^(D-i) u^j,
+    # D = deg_x Phi, which clears every negative power of t
+    sympy = pytest.importorskip("sympy")
+    t, u = sympy.symbols("t u")
+    t2_plus_1, tp, up = (sympy.Poly(e, t, u) for e in (t**2 + 1, t, u))
+
+    def in_t(laurent, shift):
+        return sympy.Poly.from_dict(
+            {(i + shift, j): c for (i, j), c in laurent.terms.items()}, t, u
+        )
+
+    count = 0
+    for knot in valid_knots(25):
+        data = riley_data(knot)
+        Phi, l = symmetric_reduce(data.phi)
+        assert (Phi, l) == (data.Phi, data.l), knot
+        D = Phi.degree(0)
+        expected = sympy.Poly(0, t, u)
+        for (i, j), c in Phi.terms.items():
+            expected += c * t2_plus_1**i * tp ** (D - i) * up**j
+        assert in_t(data.phi, D + l) == expected, knot
+        assert in_t(expand_in_t(Phi, l), D + l) == expected, knot
+        count += 1
+    assert count == 136
+
+
 def test_evaluate_examples():
     trefoil = BiPoly({(2, 0): 1, (0, 1): 1, (0, 0): -3})
     assert trefoil.evaluate({"x": Q(2), "u": Q(-1)}).is_zero()

@@ -11,6 +11,7 @@ from knotdeform.pseudorep import (
     PseudoRepTable,
     WordSet,
     _c_residuals,
+    _int_image,
     _p_residuals,
     _rational_image,
     check_axioms_C,
@@ -403,6 +404,36 @@ def test_hbar_checks_match_boxed_arithmetic_in_every_h_degree(spec):
                 got = check(mutated).to_json()
                 assert got == _boxed_report(family, mutated).to_json(), (family, k)
                 assert got["violations"], (family, k)
+
+
+# primes p whose bound 6 M^2 p^3 takes 80 bits: slots wider than an array
+# lane, so the slot width has no spare bit beyond the sign
+TIGHT = {1: 46530691, 2: 29312509, 3: 22369661, 6: 14091983}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 6])
+@pytest.mark.parametrize("base", ["7", "tight", "rational"])
+def test_hbar_zero_test_reads_every_slot_at_its_bound(base, M):
+    # a residual has h-degrees up to 3M - 3, each slot within 6 M^2 m^3; the
+    # zero test must read its low M slots right even with every slot at that
+    # bound (a multiple of m) or one less, of either sign
+    base = TIGHT[M] if base == "tight" else base
+    ring = make_ring(f"hbar:{base}:{M}")
+    h = [0, 1] + [0] * (M - 2) if M > 1 else [1]
+    table = PseudoRepTable.from_dict(ring, {FreeWord.from_string("a"): ring(h)})
+    T, is_zero = _int_image(table)
+    coeffs = [c for v in table.values for c in v.value]
+    m = _rational_image(coeffs, M * M)[1] if base == "rational" else ring.base.p
+    width = (T[1].bit_length() - 1) // 8  # T[1] packs h: 256^width
+    bound = 6 * M * M * m**3
+    rng = random.Random(M)
+    for trial in range(400):
+        slots = [rng.choice((1, -1)) * (bound - rng.randrange(2)) for _ in range(3 * M - 2)]
+        if trial % 2:
+            slots[:M] = [rng.choice((1, -1)) * bound for _ in range(M)]
+        r = sum(c << (8 * width * k) for k, c in enumerate(slots))
+        # schoolbook: truncate mod h^M, then test each coefficient mod m
+        assert is_zero(r) == all(c % m == 0 for c in slots[:M]), slots
 
 
 def test_ball_is_one_shared_immutable_window():

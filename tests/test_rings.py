@@ -29,6 +29,7 @@ from knotdeform.rings import (
     lift_residue,
     make_ring,
     residue_field,
+    residue_of,
     scalar_values,
     teichmuller_lift,
     to_residue,
@@ -293,6 +294,24 @@ def test_one_residue_field_rule(spec):
         x = lift_residue(ring, k.from_int(n))
         assert x.residue() == to_residue(x) == k.from_int(n)
         assert lift_residue(ring, x.residue()) == x
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["rational", "fp:7", "padic:7:1", "padic:7:4", "hbar:7:1", "hbar:5:3",
+     "hbar:rational:2"],
+)
+def test_residue_of_takes_the_ring_or_its_residue_field(spec):
+    ring = make_ring(spec)
+    k = ring.residue_field()
+    step = ring.uniformizer() if hasattr(ring, "uniformizer") else ring.zero()
+    for n in range(-3, 4):
+        a = k.from_int(n)
+        assert residue_of(ring, a) is a
+        x = ring.from_int(n) + step  # in ring, with residue a
+        assert residue_of(ring, x) == a and residue_of(ring, x).ring == k
+    with pytest.raises(RingMismatch):
+        residue_of(ring, PrimeField(11).one())
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)

@@ -192,6 +192,36 @@ def test_newton_root_rejections():
         newton_root(double, Q(-1), Q, 4)
 
 
+def test_invert_sqrt_and_newton_root_agree_with_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    z, N = sympy.Symbol("z"), 12
+    rng = random.Random(12)
+
+    def taylor(e):
+        s = sympy.series(e, z, 0, N).removeO()
+        return [Fraction(int(c.p), int(c.q)) for c in (s.coeff(z, k) for k in range(N))]
+
+    def draw(c0):
+        values = [c0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+        e = sum(sympy.Rational(v.numerator, v.denominator) * z**k for k, v in enumerate(values))
+        return S(values, N), e
+
+    for _ in range(3):
+        f, e = draw(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+        assert coeffs(series_invert(f)) == taylor(1 / e)
+        f, e = draw(Fraction(1))
+        assert coeffs(series_sqrt(f)) == taylor(sympy.sqrt(e))
+        f, e = draw(Fraction(4))
+        assert coeffs(series_sqrt(f, Q(2))) == taylor(sympy.sqrt(e))
+    x = z + 2
+    trefoil = BiPoly({(2, 0): 1, (0, 1): 1, (0, 0): -3})  # u = 3 - x^2
+    assert coeffs(newton_root(trefoil, Q(-1), Q, N)) == taylor(3 - x**2)
+    # u^2 + (x - 1) u + 2 - 2x, with the root 1 of u^2 + u - 2 at x = 2
+    quad = BiPoly({(0, 2): 1, (1, 1): 1, (0, 1): -1, (0, 0): 2, (1, 0): -2})
+    root = (1 - x + sympy.sqrt((x - 1) ** 2 - 4 * (2 - 2 * x))) / 2
+    assert coeffs(newton_root(quad, Q(1), Q, N)) == taylor(root)
+
+
 def test_ramified_conversion():
     u = S([-1, -4, -1], 3)
     r = to_ramified(u)
