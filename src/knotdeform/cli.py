@@ -10,7 +10,9 @@ One subcommand per pipeline stage plus a batch verification mode:
     trace-reduce WORD        trace of a word as a polynomial in x, z, y
                              (at most MAX_TRACE_LETTERS = 38 letters)
     pseudo-check TABLE.json  axiom checkers on a stored trace table
-    deform m n --coeff ...   explicit universal deformation (+ checks)
+    deform m n --coeff ...   explicit universal deformation (+ checks;
+                             --prec at most MAX_DEFORM_PREC = 256,
+                             --ramified at most MAX_RAMIFIED_PREC = 256)
     verify-all               the whole invariant battery (knots up to
                              MAX_BATTERY_M = 75, primes up to
                              MAX_BATTERY_PRIME = 211)
@@ -39,7 +41,13 @@ from .deform import (
     specialization_point,
     specialize,
 )
-from .errors import BatteryTooLarge, InvalidKnot, KnotDeformError, MalformedTable
+from .errors import (
+    BatteryTooLarge,
+    InvalidKnot,
+    KnotDeformError,
+    MalformedTable,
+    PrecisionTooLarge,
+)
 from .polynomials import expand_in_t
 from .pseudorep import (
     HarnessVerdict,
@@ -78,6 +86,14 @@ USAGE_EXIT = 64
 # (1.7 s at 51, 25 s at 101).
 MAX_BATTERY_M = 75
 MAX_BATTERY_PRIME = 211
+
+# The largest deform precisions.  The slowest ring is hbar:rational:M, and
+# its time grows with M and with the knot.  Measured on 2 vCPUs (CPython
+# 3.11) for the trefoil over hbar:rational:3: --prec 256 takes 3.5 s, and
+# with --ramified 256 6.3 s (18.6 s at --ramified 512); over Q, --prec 256
+# --ramified 256 takes 0.8 s.
+MAX_DEFORM_PREC = 256
+MAX_RAMIFIED_PREC = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,9 +158,11 @@ def build_parser():
                    ' | "hbar:rational:<M>"')
     p.add_argument("--beta", required=True,
                    help="residual root in the residue field")
-    p.add_argument("--prec", type=int, required=True, help="z-precision N")
+    p.add_argument("--prec", type=int, required=True,
+                   help=f"z-precision N, at most {MAX_DEFORM_PREC}")
     p.add_argument("--ramified", type=int, metavar="NS",
-                   help="also verify the sqrt(x-2) conjugation to s-precision NS")
+                   help="also verify the sqrt(x-2) conjugation to s-precision NS,"
+                   f" at most {MAX_RAMIFIED_PREC}")
     p.add_argument("--specialize", type=int, metavar="N_POW",
                    help="specialize at x0 = (1+pi)^n + (1+pi)^-n")
     p.add_argument("--verify", action="store_true",
@@ -275,6 +293,15 @@ def _cmd_pseudo_check(args, out):
 
 
 def _cmd_deform(args, out):
+    if args.prec > MAX_DEFORM_PREC:
+        raise PrecisionTooLarge(
+            f"deform takes --prec at most {MAX_DEFORM_PREC}, got {args.prec}"
+        )
+    if args.ramified is not None and args.ramified > MAX_RAMIFIED_PREC:
+        raise PrecisionTooLarge(
+            f"deform takes --ramified at most {MAX_RAMIFIED_PREC}, "
+            f"got {args.ramified}"
+        )
     ring = make_ring(args.coeff)
     beta = residue_field(ring).parse_value(_parse_scalar(args.beta))
     data = deformation_data(args.knot, beta, ring, args.prec)

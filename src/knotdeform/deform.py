@@ -13,8 +13,9 @@ z-precision to the exact division by x^2 - 4 = z(z + 4); every check
 records the precision at which it was verified.
 
 ramified_check works in the quadratic extension O[[s]], s^2 = x - 2,
-where t with t + 1/t = x exists, and confirms that conjugation by the
-explicit matrix U(x) carries C(t), D(t, u) to A, B.  specialize
+where t with t + 1/t = x exists (t^-1 = x - t), and confirms that
+conjugation by the explicit matrix M(x), det M = v, carries C(t), D(t, u)
+to A, B; the unimodular U = v^(-1/2) M is never formed.  specialize
 substitutes a ring value for x whose difference from 2 is nilpotent,
 yielding honest representations over O itself.
 """
@@ -184,10 +185,16 @@ def character_check(knot, a_mat, b_mat):
 
 
 def ramified_check(u, n_s):
-    """Verify U C(t) U^-1 = A and U D(t, u) U^-1 = B in O[[s]], s^2 = x - 2.
+    """Verify that M conjugates C(t), D(t, u) to A, B in O[[s]], s^2 = x - 2.
 
-    t = (x + s sqrt(s^2+4))/2 satisfies t + 1/t = x and t = 1 + s mod s^2;
-    sqrt(s^2+4) is normalized to constant term 2.
+    t = (x + s r)/2, r = sqrt(s^2+4) with constant term 2, has t^-1 = x - t
+    and t = 1 + s mod s^2.  M = [[1, (1-v)/(s r)], [s r/2, (1+v)/2]] has
+    det M = v, a unit, and U = v^(-1/2) M is unimodular; a scalar cancels
+    under conjugation, so det U = 1 is checked as det M = v and
+    U C U^-1 = A as M C = A M.
+
+    A and B are built from u, so these checks pass for any unit series u;
+    that u lifts a root of Phi is tested by verify_deformation's relator.
     """
     if n_s < 2:
         raise PrecisionTooLow(
@@ -196,80 +203,50 @@ def ramified_check(u, n_s):
         )
     ring = u.ring
     half = ring.from_int(2).inverse()
-    quarter = half * half
     prec = min(n_s, 2 * u.precision)
 
-    u_s = to_ramified(u).truncate(prec)
     one = TruncSeries.constant(ring, "s", 1, prec)
     x_s = TruncSeries.from_list(ring, "s", [2, 0, 1], prec)
 
-    # sqrt(x^2 - 4) = s * sqrt(s^2 + 4), sqrt(s^2 + 4) = 2 sqrt(1 + s^2/4)
+    # sqrt(x^2 - 4) = s r, r = sqrt(s^2 + 4) = 2 sqrt(1 + s^2/4)
     root4 = series_sqrt(
-        TruncSeries.from_list(ring, "s", [1, 0, quarter], prec)
+        TruncSeries.from_list(ring, "s", [1, 0, half * half], prec)
     ) * ring.from_int(2)
-    sqrt_x2m4 = shift_up(root4, 1).truncate(prec)
+    s_root4 = shift_up(root4, 1).truncate(prec)
 
-    t = (x_s + sqrt_x2m4) * half
-    t_inv = series_invert(t)
-    one_value = ring._from_number(1)
-    t_res_ok = t.values[0] == one_value and (prec < 2 or t.values[1] == one_value)
+    t = (x_s + s_root4) * half
+    t_inv = x_s - t
     checks = [
-        CheckResult("t_plus_tinv_is_x", t + t_inv == x_s, prec),
-        CheckResult("t_residual", t_res_ok, min(prec, 2)),
+        CheckResult("t_plus_tinv_is_x", t * t_inv == one, prec),
+        CheckResult("t_residual", t.values[0] == t.values[1] == one.values[0], 2),
     ]
 
-    v, a_mat, b_mat = deformation_matrices(u)
-    v_s = to_ramified(v).truncate(prec)
-    sqrt_v = series_sqrt(v_s)
-    inv_sqrt_v = series_invert(sqrt_v)
+    def ramify(f):
+        return to_ramified(f).truncate(prec)
 
-    u11 = inv_sqrt_v
-    u12 = divide_by_var_power((one - v_s) * inv_sqrt_v, 1) * series_invert(root4)
-    u21 = sqrt_x2m4 * inv_sqrt_v * half
-    u22 = (one + v_s) * inv_sqrt_v * half
-    u_mat = SL2Matrix(((u11, u12), (u21, u22)))
-    checks.append(
-        CheckResult("det_U", u_mat.det() == u_mat.det().one_like(),
-                    u_mat.det().precision)
+    v, a_mat, b_mat = deformation_matrices(u)
+    v_s = ramify(v)
+    m12 = divide_by_var_power(one - v_s, 1) * series_invert(root4)
+    m_mat = SL2Matrix(
+        ((one, m12), (s_root4 * half, (one + v_s) * half)), check=False
     )
-    consts = [u_mat.entries[i][j].constant_term() for i in range(2) for j in range(2)]
-    checks.append(
-        CheckResult(
-            "U_at_s0_identity",
-            consts[0] == ring.one()
-            and consts[3] == ring.one()
-            and consts[1].is_zero()
-            and consts[2].is_zero(),
-            1,
-        )
-    )
+    det_m = m_mat.det()
+    checks.append(CheckResult("det_U", det_m == v_s, det_m.precision))
+    at_0 = [e.values[0] for row in m_mat.entries for e in row]
+    id_0 = [one.values[0], ring.zero_value, ring.zero_value, one.values[0]]
+    checks.append(CheckResult("U_at_s0_identity", at_0 == id_0, 1))
 
     zero = TruncSeries.constant(ring, "s", 0, prec)
-    c_t = SL2Matrix(((t, one), (zero, t_inv)))
-    d_t = SL2Matrix(((t, zero), (u_s, t_inv)))
-    u_inv = u_mat.inverse()
-
-    def ramify_matrix(m):
-        return SL2Matrix(
-            tuple(
-                tuple(to_ramified(e).truncate(prec) for e in row)
-                for row in m.entries
-            ),
-            check=False,
-        )
-
-    a_s = ramify_matrix(a_mat)
-    b_s = ramify_matrix(b_mat)
-    conj_a = u_mat * c_t * u_inv
-    conj_b = u_mat * d_t * u_inv
-    checks.append(
-        CheckResult("U_C_Uinv_is_A", conj_a == a_s,
-                    _matrix_min_precision(conj_a, a_s))
-    )
-    checks.append(
-        CheckResult("U_D_Uinv_is_B", conj_b == b_s,
-                    _matrix_min_precision(conj_b, b_s))
-    )
+    for name, gen, target in (
+        ("U_C_Uinv_is_A", ((t, one), (zero, t_inv)), a_mat),
+        ("U_D_Uinv_is_B", ((t, zero), (ramify(u), t_inv)), b_mat),
+    ):
+        lhs = m_mat * SL2Matrix(gen, check=False)
+        rhs = SL2Matrix(
+            tuple(tuple(map(ramify, row)) for row in target.entries), check=False
+        ) * m_mat
+        joint = _matrix_min_precision(lhs, rhs)
+        checks.append(CheckResult(name, lhs == rhs, joint))
     return checks
 
 

@@ -158,3 +158,8 @@ class NotInMaximalIdeal(KnotDeformError):
 
 class PrecisionTooLow(KnotDeformError):
     """A requested series precision is below the minimum a construction needs."""
+
+
+class PrecisionTooLarge(KnotDeformError):
+    """A deform precision is past its cap (cli.MAX_DEFORM_PREC or
+    cli.MAX_RAMIFIED_PREC)."""

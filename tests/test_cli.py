@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from knotdeform.cli import main, parse_args, run
+from knotdeform.cli import MAX_DEFORM_PREC, MAX_RAMIFIED_PREC, main, parse_args, run
 from knotdeform.deform import DeformationData
 from knotdeform.pseudorep import WordSet, trace_table
 from knotdeform.riley import riley_rep
@@ -127,6 +127,23 @@ def test_deform_domain_error():
         (["--prec", "4", "--ramified", "0"], "s-precision must be at least 2"),
     ):
         code, out, err = invoke(trefoil + extra)
+        assert code == 1 and out == "" and fragment in err, extra
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deform_precision_caps():
+    at_caps = ["--prec", str(MAX_DEFORM_PREC), "--ramified", str(MAX_RAMIFIED_PREC)]
+    code, out, _ = invoke(
+        ["deform", "3", "1", "--coeff", "fp:13", "--beta", "m1", "--verify"] + at_caps
+    )
+    assert code == 0 and "U_D_Uinv_is_B: pass" in out
+    # past a cap: one error line, before the ring spec is read
+    bad_ring = ["deform", "3", "1", "--coeff", "padic:9:2", "--beta", "m1"]
+    for extra, fragment in (
+        (["--prec", str(MAX_DEFORM_PREC + 1)], "--prec at most"),
+        (["--prec", "4", "--ramified", str(MAX_RAMIFIED_PREC + 1)], "--ramified at most"),
+    ):
+        code, out, err = invoke(bad_ring + extra)
         assert code == 1 and out == "" and fragment in err, extra
         assert err.startswith("error: ") and err.count("\n") == 1
 

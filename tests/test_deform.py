@@ -4,7 +4,9 @@ from math import comb
 import pytest
 
 from knotdeform.deform import (
+    CheckResult,
     DeformationData,
+    _matrix_min_precision,
     character_check,
     character_series,
     deformation_data,
@@ -24,8 +26,24 @@ from knotdeform.errors import (
 )
 from knotdeform.pseudorep import WordSet, check_axioms_C, check_axioms_P, trace_table
 from knotdeform.riley import riley_rep
-from knotdeform.rings import HbarTruncRing, PadicTruncRing, PrimeField, Rationals
-from knotdeform.series import TruncSeries, eval_bipoly, x_series
+from knotdeform.rings import (
+    HbarTruncRing,
+    PadicTruncRing,
+    PrimeField,
+    Rationals,
+    make_ring,
+    residue_field,
+)
+from knotdeform.series import (
+    TruncSeries,
+    divide_by_var_power,
+    eval_bipoly,
+    series_invert,
+    series_sqrt,
+    shift_up,
+    to_ramified,
+    x_series,
+)
 from knotdeform.words import SL2Matrix, TwoBridgeKnot
 
 Q = Rationals()
@@ -161,6 +179,107 @@ def test_ramified_check_padic():
     u = hensel_u(FIG8, F7(3), ring, 6)
     checks = ramified_check(u, 10)
     assert all(c.passed for c in checks)
+
+
+def _ramified_check_reference(u, n_s):
+    """The check through the unimodular U = v^(-1/2) M itself: a Newton
+    square root of v, the inverses of sqrt(v) and of t, and U^-1."""
+    ring = u.ring
+    half = ring.from_int(2).inverse()
+    quarter = half * half
+    prec = min(n_s, 2 * u.precision)
+
+    u_s = to_ramified(u).truncate(prec)
+    one = TruncSeries.constant(ring, "s", 1, prec)
+    x_s = TruncSeries.from_list(ring, "s", [2, 0, 1], prec)
+    root4 = series_sqrt(
+        TruncSeries.from_list(ring, "s", [1, 0, quarter], prec)
+    ) * ring.from_int(2)
+    sqrt_x2m4 = shift_up(root4, 1).truncate(prec)
+
+    t = (x_s + sqrt_x2m4) * half
+    t_inv = series_invert(t)
+    one_value = ring._from_number(1)
+    t_res_ok = t.values[0] == one_value and t.values[1] == one_value
+    checks = [
+        CheckResult("t_plus_tinv_is_x", t + t_inv == x_s, prec),
+        CheckResult("t_residual", t_res_ok, 2),
+    ]
+
+    v, a_mat, b_mat = deformation_matrices(u)
+    v_s = to_ramified(v).truncate(prec)
+    inv_sqrt_v = series_invert(series_sqrt(v_s))
+    u12 = divide_by_var_power((one - v_s) * inv_sqrt_v, 1) * series_invert(root4)
+    u21 = sqrt_x2m4 * inv_sqrt_v * half
+    u22 = (one + v_s) * inv_sqrt_v * half
+    u_mat = SL2Matrix(((inv_sqrt_v, u12), (u21, u22)))
+    det = u_mat.det()
+    checks.append(CheckResult("det_U", det == det.one_like(), det.precision))
+    consts = [e.constant_term() for row in u_mat.entries for e in row]
+    at_identity = consts == [ring.one(), ring.zero(), ring.zero(), ring.one()]
+    checks.append(CheckResult("U_at_s0_identity", at_identity, 1))
+
+    zero = TruncSeries.constant(ring, "s", 0, prec)
+    c_t = SL2Matrix(((t, one), (zero, t_inv)))
+    d_t = SL2Matrix(((t, zero), (u_s, t_inv)))
+    u_inv = u_mat.inverse()
+    for name, gen, target in (
+        ("U_C_Uinv_is_A", c_t, a_mat),
+        ("U_D_Uinv_is_B", d_t, b_mat),
+    ):
+        target_s = SL2Matrix(
+            tuple(
+                tuple(to_ramified(e).truncate(prec) for e in row)
+                for row in target.entries
+            ),
+            check=False,
+        )
+        conj = u_mat * gen * u_inv
+        joint = _matrix_min_precision(conj, target_s)
+        checks.append(CheckResult(name, conj == target_s, joint))
+    return checks
+
+
+# (knot, ring spec, residual root, z-precisions N) over every ring kind
+RAMIFIED_ORACLE_CASES = [
+    (TREFOIL, "rational", -1, (2, 3, 12)),
+    (FIG8, "fp:13", 4, (2, 7)),
+    (FIG8, "padic:7:4", 3, (2, 6)),
+    (TwoBridgeKnot(7, 3), "padic:11:3", 7, (5,)),
+    (TREFOIL, "hbar:5:3", -1, (2, 6)),
+    (TwoBridgeKnot(5, 1), "hbar:11:2", 2, (4,)),
+    (TREFOIL, "hbar:rational:3", -1, (2, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "knot, spec, root, precisions",
+    RAMIFIED_ORACLE_CASES,
+    ids=[f"{k.m}-{k.n}-{spec}" for k, spec, _, _ in RAMIFIED_ORACLE_CASES],
+)
+def test_ramified_check_matches_the_unimodular_reference(knot, spec, root, precisions):
+    ring = make_ring(spec)
+    beta = residue_field(ring).from_int(root)
+    for n in precisions:
+        u = hensel_u(knot, beta, ring, n)
+        for n_s in sorted({2, 3, 2 * n - 1, 2 * n, 2 * n + 3}):
+            got = ramified_check(u, n_s)
+            assert got == _ramified_check_reference(u, n_s), (spec, n, n_s)
+            assert all(c.passed for c in got)
+
+
+def test_ramified_check_does_not_test_that_u_lifts_a_root():
+    # Raise one coefficient of the trefoil's u over Q: every ramified check
+    # still passes, and only the relator of verify_deformation sees it.
+    n, k = 8, 2
+    u = hensel_u(TREFOIL, Q(-1), Q, n)
+    bump = TruncSeries.from_list(Q, "z", [0] * k + [1], n)
+    bad_u = u + bump
+    assert all(c.passed for c in ramified_check(bad_u, 2 * n))
+    _, a_mat, b_mat = deformation_matrices(bad_u)
+    checks = {c.name: c for c in verify_deformation(TREFOIL, a_mat, b_mat, Q(-1))}
+    assert k < checks["relator"].precision
+    assert not checks["relator"].passed
 
 
 def test_specialize_hbar_example():

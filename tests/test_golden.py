@@ -104,6 +104,15 @@ COMMANDS = {
         "deform", "3", "1", "--coeff", "rational", "--beta", "m1", "--prec", "4",
         "--ramified", "0",
     ],
+    # past the caps of deform (cli.MAX_DEFORM_PREC, cli.MAX_RAMIFIED_PREC),
+    # each raised before the ring spec is read
+    "error-deform-prec-past-cap": [
+        "deform", "3", "1", "--coeff", "rational", "--beta", "m1", "--prec", "257",
+    ],
+    "error-deform-ramified-past-cap": [
+        "deform", "3", "1", "--coeff", "padic:9:2", "--beta", "m1", "--prec", "4",
+        "--ramified", "257",
+    ],
     "error-deform-beta-0": [
         "deform", "3", "1", "--coeff", "rational", "--beta", "0", "--prec", "4",
     ],
