@@ -7,12 +7,15 @@ One subcommand per pipeline stage plus a batch verification mode:
     riley m n                Riley polynomial, residual polynomial, disc
     roots m n --prime p      residual roots in F_p
     charvar m n              character-variety curve factors
+                             (riley, roots, charvar and deform take knots
+                             with m at most MAX_KNOT_M = 401)
     trace-reduce WORD        trace of a word as a polynomial in x, z, y
                              (at most MAX_TRACE_LETTERS = 38 letters)
     pseudo-check TABLE.json  axiom checkers on a stored trace table
     deform m n --coeff ...   explicit universal deformation (+ checks;
                              --prec at most MAX_DEFORM_PREC = 256,
-                             --ramified at most MAX_RAMIFIED_PREC = 256)
+                             --ramified at most MAX_RAMIFIED_PREC = 256,
+                             ring truncation M at most MAX_RING_M = 8)
     verify-all               the whole invariant battery (knots up to
                              MAX_BATTERY_M = 75, primes up to
                              MAX_BATTERY_PRIME = 211)
@@ -45,6 +48,7 @@ from .errors import (
     BatteryTooLarge,
     InvalidKnot,
     KnotDeformError,
+    KnotTooLarge,
     MalformedTable,
     PrecisionTooLarge,
 )
@@ -95,6 +99,17 @@ MAX_BATTERY_PRIME = 211
 MAX_DEFORM_PREC = 256
 MAX_RAMIFIED_PREC = 256
 
+# The largest truncation M of padic:<p>:<M>, hbar:<p>:<M> and
+# hbar:rational:<M>.  Measured as above, the trefoil at --prec 256
+# --ramified 256 takes 7.6 s over hbar:rational:3, 12.0 s at M = 4, 17.8 s
+# at M = 6 and 29.6 s at M = 8; padic:13:1024 takes 10.2 s.
+MAX_RING_M = 8
+
+# The largest m of a knot b(m, n) for riley, roots, charvar and deform.
+# Measured as above, the time grows about as m^4: charvar 401 41 takes
+# 4.2 s and 90 MiB, charvar 501 41 11.6 s and 157 MiB.
+MAX_KNOT_M = 401
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with BSD-style exit code 64 for usage problems."""
@@ -121,12 +136,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def knot_args(p):
-        p.add_argument("m", type=int)
+    def knot_args(p, capped=True):
+        p.add_argument("m", type=int,
+                       help=f"at most {MAX_KNOT_M}" if capped else None)
         p.add_argument("n", type=int)
 
-    knot_args(sub.add_parser("epsilon", help="sign sequence of the relator"))
-    knot_args(sub.add_parser("word", help="Schubert relator word"))
+    knot_args(sub.add_parser("epsilon", help="sign sequence of the relator"),
+              capped=False)
+    knot_args(sub.add_parser("word", help="Schubert relator word"), capped=False)
 
     p = sub.add_parser("riley", help="Riley polynomial data")
     knot_args(p)
@@ -155,7 +172,7 @@ def build_parser():
     knot_args(p)
     p.add_argument("--coeff", required=True,
                    help='"rational" | "fp:<p>" | "padic:<p>:<M>" | "hbar:<p>:<M>"'
-                   ' | "hbar:rational:<M>"')
+                   f' | "hbar:rational:<M>", with M at most {MAX_RING_M}')
     p.add_argument("--beta", required=True,
                    help="residual root in the residue field")
     p.add_argument("--prec", type=int, required=True,
@@ -213,8 +230,29 @@ def _cmd_word(args, out):
     return 0
 
 
+def _capped_knot(args):
+    """args.knot, or KnotTooLarge past MAX_KNOT_M."""
+    if args.m > MAX_KNOT_M:
+        raise KnotTooLarge(
+            f"{args.command} takes m at most {MAX_KNOT_M}, got {args.m}"
+        )
+    return args.knot
+
+
+def _ring_truncation(spec):
+    """M of a padic:<p>:<M> or hbar:<p>:<M> spec; None for any other spec,
+    and for an M that is no integer (make_ring refuses it)."""
+    parts = spec.split(":")
+    if parts[0] in ("padic", "hbar") and len(parts) == 3:
+        try:
+            return int(parts[2])
+        except ValueError:
+            pass
+    return None
+
+
 def _cmd_riley(args, out):
-    data = riley_data(args.knot)
+    data = riley_data(_capped_knot(args))
     if args.json:
         obj = {
             "m": str(args.knot.m),
@@ -237,13 +275,13 @@ def _cmd_riley(args, out):
 
 
 def _cmd_roots(args, out):
-    roots = sorted(riley_roots(args.knot, args.prime))
+    roots = sorted(riley_roots(_capped_knot(args), args.prime))
     out.write("[" + ", ".join(str(r) for r in roots) + "]\n")
     return 0
 
 
 def _cmd_charvar(args, out):
-    model = curve_model(args.knot)
+    model = curve_model(_capped_knot(args))
     if args.json:
         obj = {
             "m": str(args.knot.m),
@@ -293,6 +331,7 @@ def _cmd_pseudo_check(args, out):
 
 
 def _cmd_deform(args, out):
+    knot = _capped_knot(args)
     if args.prec > MAX_DEFORM_PREC:
         raise PrecisionTooLarge(
             f"deform takes --prec at most {MAX_DEFORM_PREC}, got {args.prec}"
@@ -302,11 +341,16 @@ def _cmd_deform(args, out):
             f"deform takes --ramified at most {MAX_RAMIFIED_PREC}, "
             f"got {args.ramified}"
         )
+    M = _ring_truncation(args.coeff)
+    if M is not None and M > MAX_RING_M:
+        raise PrecisionTooLarge(
+            f"deform takes a ring truncation M of at most {MAX_RING_M}, got {M}"
+        )
     ring = make_ring(args.coeff)
     beta = residue_field(ring).parse_value(_parse_scalar(args.beta))
-    data = deformation_data(args.knot, beta, ring, args.prec)
+    data = deformation_data(knot, beta, ring, args.prec)
     checks = list(data.verification)
-    checks.append(character_check(args.knot, data.A, data.B))
+    checks.append(character_check(knot, data.A, data.B))
     extra = {}
     if args.ramified is not None:
         ram = ramified_check(data.u, args.ramified)
@@ -314,7 +358,7 @@ def _cmd_deform(args, out):
         extra["ramified"] = [c.to_json() for c in ram]
     if args.specialize is not None:
         x0 = specialization_point(ring, args.specialize)
-        rho = specialize(data.A, data.B, x0, knot=args.knot)
+        rho = specialize(data.A, data.B, x0, knot=knot)
         extra["specialized"] = {
             "x0": str(x0),
             "a": [[str(e) for e in row] for row in rho.images["a"].entries],

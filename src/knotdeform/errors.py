@@ -115,6 +115,10 @@ class WordTooLong(KnotDeformError):
     """A word is longer than trace reduction takes (MAX_TRACE_LETTERS)."""
 
 
+class KnotTooLarge(KnotDeformError):
+    """A knot b(m, n) with m past cli.MAX_KNOT_M."""
+
+
 class BatteryTooLarge(KnotDeformError):
     """A verify-all input is past its cap (cli.MAX_BATTERY_M or
     cli.MAX_BATTERY_PRIME)."""
@@ -161,5 +165,5 @@ class PrecisionTooLow(KnotDeformError):
 
 
 class PrecisionTooLarge(KnotDeformError):
-    """A deform precision is past its cap (cli.MAX_DEFORM_PREC or
-    cli.MAX_RAMIFIED_PREC)."""
+    """A deform precision is past its cap (cli.MAX_DEFORM_PREC,
+    cli.MAX_RAMIFIED_PREC, or cli.MAX_RING_M for a ring's truncation M)."""

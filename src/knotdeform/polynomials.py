@@ -13,12 +13,26 @@ the trace coordinate x = t + 1/t using the basis p_0 = 2, p_1 = x,
 p_{n+1} = x p_n - p_{n-1} for t^n + t^-n.  ``discriminant`` is exact, via
 the subresultant polynomial remainder sequence.
 
-All coefficients are Python ints.  Every sparse evaluation and
-substitution -- ``BiPoly.evaluate``, ``LaurentBiPoly.evaluate``,
-``TracePolynomial.evaluate``, ``series.eval_bipoly``, ``substitute_u`` and
-``expand_in_t`` -- goes through the one routine ``horner``: Horner's rule
-in the last variable, each row an integer combination of values of the
-other variables.
+All coefficients are Python ints.  Every sparse evaluation --
+``BiPoly.evaluate``, ``LaurentBiPoly.evaluate``,
+``TracePolynomial.evaluate``, ``series.eval_bipoly`` -- and the
+substitution ``expand_in_t`` go through the one routine ``horner``:
+Horner's rule in the last variable, each row an integer combination of
+values of the other variables.
+
+The two changes of variable that the Riley pipeline applies to Phi run on
+signed Kronecker ints (``rings._pack_signed``, ``rings._signed_slots``):
+a whole row of coefficients moves as one bigint, in place of one dict
+update per term.
+
+* ``symmetric_reduce`` packs each column t^e (e >= 0) over u; x^i's row
+  is the sum of p_e[i] times column e.  Slots are bits(max|c| *
+  sum_e ||p_e||_1) wide, plus a sign bit.
+* ``substitute_u`` splits Phi by the parity eps of the x-exponent, so
+  that u = y - X + 2 is linear in X = x^2, and runs Horner's rule in u on
+  one int over (X, y) per class.  Every intermediate is a sum of
+  c (y - X + 2)^j with ||(y - X + 2)^j||_1 = 4^j, so slots are
+  bits(sum |c| 4^j) wide, plus a sign bit.
 """
 
 from . import _kernels
@@ -28,6 +42,7 @@ from .errors import (
     NotSymmetrizable,
     VarnameMismatch,
 )
+from .rings import _lane, _pack_signed, _signed_slots
 
 
 def _clean(terms):
@@ -421,17 +436,13 @@ def horner(terms, head, last, zero):
 # --- symmetric reduction t + 1/t -> x ---
 
 def _chebyshev_basis(top):
-    """[p_0, ..., p_top]: p_0 = 2, p_1 = x, p_(n+1) = x p_n - p_(n-1)."""
-    x = UniPoly([0, 1], "x")
-    basis = [UniPoly([2], "x"), x]
+    """[p_0, ..., p_top] as coefficient lists, low degree first:
+    p_0 = 2, p_1 = x, p_(n+1) = x p_n - p_(n-1)."""
+    basis = [[2], [0, 1]]
     for _ in range(top - 1):
-        basis.append(x * basis[-1] - basis[-2])
+        p, q = basis[-1], basis[-2]
+        basis.append([a - b for a, b in zip([0] + p, q + [0, 0])])
     return basis[:top + 1]
-
-
-def chebyshev_like(n):
-    """p_n with p_n(t + 1/t) = t^n + t^-n."""
-    return _chebyshev_basis(n)[n]
 
 
 def symmetric_reduce(f):
@@ -440,6 +451,11 @@ def symmetric_reduce(f):
     The shift l is forced by the exponent support (each u-slice must become
     symmetric around 0 under the same shift); NotSymmetrizable means no
     integer shift works.
+
+    Column t^e (e >= 0) of the shifted f is one signed Kronecker int over
+    u, and x^i's row is the sum of p_e[i] * column e (column 0 counted
+    once).  A slot is at most max|c| * sum_e ||p_e||_1 in magnitude, plus
+    one bit for the sign.
     """
     if f.is_zero():
         return BiPoly({}, ("x", "u")), 0
@@ -454,20 +470,34 @@ def symmetric_reduce(f):
             l = cand
         elif l != cand:
             raise NotSymmetrizable("u-slices need different shifts")
-    basis = _chebyshev_basis(max(max(sl) for sl in slices.values()) + l)
-    out = {}
+    top = max(max(sl) for sl in slices.values()) + l
+    du = max(slices)
+    columns = [[0] * (du + 1) for _ in range(top + 1)]
     for eu, sl in slices.items():
         shifted = {e + l: c for e, c in sl.items()}
         for e, c in shifted.items():
             if shifted.get(-e) != c:
                 raise NotSymmetrizable("coefficients are not palindromic")
-        if 0 in shifted:
-            out[(0, eu)] = out.get((0, eu), 0) + shifted[0]
-        for e in sorted(k for k in shifted if k > 0):
-            for i, pc in enumerate(basis[e].coeffs):
-                if pc:
-                    key = (i, eu)
-                    out[key] = out.get(key, 0) + shifted[e] * pc
+            if e >= 0:
+                columns[e][eu] = c
+    basis = _chebyshev_basis(top)
+    bound = max(map(abs, f.terms.values())) * sum(
+        sum(map(abs, p)) for p in basis
+    )
+    width = _lane((bound.bit_length() + 8) // 8)
+    rows = [0] * (top + 1)
+    rows[0] = _pack_signed(columns[0], width)
+    for e in range(1, top + 1):
+        column = _pack_signed(columns[e], width)
+        for i, pc in enumerate(basis[e]):
+            if pc:
+                rows[i] += pc * column
+    out = {
+        (i, eu): c
+        for i, row in enumerate(rows)
+        for eu, c in enumerate(_signed_slots(row, width, du + 1))
+        if c
+    }
     return BiPoly(out, ("x", "u")), l
 
 
@@ -485,14 +515,39 @@ def expand_in_t(phi_xu, l):
 
 
 def substitute_u(f):
-    """Substitute u = y - x^2 + 2 into Phi(x, u), landing in Z[x, y]."""
+    """Substitute u = y - x^2 + 2 into Phi(x, u), landing in Z[x, y].
+
+    The terms split by the parity eps of their x-exponent.  With X = x^2,
+    u is linear in X, and each class runs Horner's rule in u on one signed
+    Kronecker int over (X, y): S = deg_X + deg_u + 1 slots per power of y,
+    so u * acc = (acc << S w) - (acc << w) + (acc << 1) for w-bit slots.
+    Slot s holds x^(2 (s mod S) + eps) y^(s div S).  The result is a sum
+    of c (y - X + 2)^e, and ||(y - X + 2)^e||_1 = 4^e, so a slot is at most
+    sum |c| 4^e in magnitude, plus one bit for the sign.
+    """
     if f.varnames != ("x", "u"):
         raise VarnameMismatch(f"expected (x, u), got {f.varnames}")
-    xy = ("x", "y")
-    repl = BiPoly({(0, 1): 1, (2, 0): -1, (0, 0): 2}, xy)
-    return horner(
-        f.terms, lambda k: BiPoly({(k[0], 0): 1}, xy), repl, BiPoly.zero(xy)
-    )
+    out = {}
+    for eps in (0, 1):
+        part = {(d >> 1, e): c for (d, e), c in f.terms.items() if d & 1 == eps}
+        if not part:
+            continue
+        dX = max(i for i, _ in part)
+        du = max(e for _, e in part)
+        S = dX + du + 1
+        bound = sum(abs(c) << 2 * e for (_, e), c in part.items())
+        width = _lane((bound.bit_length() + 8) // 8)
+        w = 8 * width
+        rows = [[0] * (dX + 1) for _ in range(du + 1)]
+        for (i, e), c in part.items():
+            rows[e][i] = c
+        acc = 0
+        for row in reversed(rows):
+            acc = (acc << S * w) - (acc << w) + (acc << 1) + _pack_signed(row, width)
+        for s, c in enumerate(_signed_slots(acc, width)):
+            if c:
+                out[2 * (s % S) + eps, s // S] = c
+    return BiPoly(out, ("x", "y"))
 
 
 # --- resultants and discriminants over Z ---
@@ -572,23 +627,3 @@ def discriminant(f):
         raise ArithmeticError("leading coefficient does not divide the resultant")
     return q
 
-
-def int_poly_gcd(f, g):
-    """gcd in Q[x] scaled primitive over Z; used as an independent check."""
-    from math import gcd as igcd
-
-    def content(cs):
-        c = 0
-        for v in cs:
-            c = igcd(c, abs(v))
-        return c or 1
-
-    def primitive(cs):
-        c = content(cs)
-        return [v // c for v in cs]
-
-    a, b = list(f.coeffs), list(g.coeffs)
-    while b:
-        r = _prem(a, b)
-        a, b = b, primitive(r) if r else []
-    return UniPoly(primitive(a) if a else [], f.var)

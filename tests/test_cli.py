@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from knotdeform.cli import MAX_DEFORM_PREC, MAX_RAMIFIED_PREC, main, parse_args, run
+from knotdeform.cli import (
+    MAX_DEFORM_PREC,
+    MAX_KNOT_M,
+    MAX_RAMIFIED_PREC,
+    MAX_RING_M,
+    main,
+    parse_args,
+    run,
+)
 from knotdeform.deform import DeformationData
 from knotdeform.pseudorep import WordSet, trace_table
 from knotdeform.riley import riley_rep
@@ -146,6 +154,33 @@ def test_deform_precision_caps():
         code, out, err = invoke(bad_ring + extra)
         assert code == 1 and out == "" and fragment in err, extra
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_knot_cap():
+    m = str(MAX_KNOT_M + 2)
+    for argv in (
+        ["riley", m, "1"],
+        ["roots", m, "1", "--prime", "7"],
+        ["charvar", m, "1", "--json"],
+        ["deform", m, "1", "--coeff", "rational", "--beta", "m1", "--prec", "4"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "", argv
+        assert err == f"error: {argv[0]} takes m at most {MAX_KNOT_M}, got {m}\n"
+
+
+def test_ring_truncation_cap():
+    at_cap = ["deform", "3", "1", "--coeff", f"padic:7:{MAX_RING_M}", "--beta", "m1"]
+    code, out, _ = invoke(at_cap + ["--prec", "4", "--verify"])
+    assert code == 0 and "relator: pass" in out
+    for spec in ("padic:7", "hbar:5", "hbar:rational"):
+        code, out, err = invoke(
+            ["deform", "3", "1", "--coeff", f"{spec}:{MAX_RING_M + 1}",
+             "--beta", "m1", "--prec", "4"]
+        )
+        assert code == 1 and out == "", spec
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"truncation M of at most {MAX_RING_M}" in err, spec
 
 
 def test_deform_json_round_trip():

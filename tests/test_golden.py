@@ -113,6 +113,13 @@ COMMANDS = {
         "deform", "3", "1", "--coeff", "padic:9:2", "--beta", "m1", "--prec", "4",
         "--ramified", "257",
     ],
+    # past the caps on the knot (cli.MAX_KNOT_M) and on a ring's truncation
+    # M (cli.MAX_RING_M), each raised before any work
+    "error-riley-knot-past-cap": ["riley", "403", "1"],
+    "error-deform-ring-m-past-cap": [
+        "deform", "3", "1", "--coeff", "hbar:rational:9", "--beta", "m1",
+        "--prec", "4",
+    ],
     "error-deform-beta-0": [
         "deform", "3", "1", "--coeff", "rational", "--beta", "0", "--prec", "4",
     ],

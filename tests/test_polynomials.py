@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knotdeform.errors import (
     ConstantPolynomial,
@@ -13,10 +16,10 @@ from knotdeform.polynomials import (
     BiPoly,
     LaurentBiPoly,
     UniPoly,
-    chebyshev_like,
+    _chebyshev_basis,
+    _prem,
     discriminant,
     expand_in_t,
-    int_poly_gcd,
     resultant,
     substitute_u,
     symmetric_reduce,
@@ -29,6 +32,62 @@ Q = Rationals()
 F7 = PrimeField(7)
 
 T_PLUS_TINV = LaurentBiPoly({(1, 0): 1, (-1, 0): 1})
+BIG = 2**300
+coefficients = st.integers(-BIG, BIG).filter(bool)
+
+
+def chebyshev_like(n):
+    """p_n with p_n(t + 1/t) = t^n + t^-n."""
+    return UniPoly(_chebyshev_basis(n)[n], "x")
+
+
+def int_poly_gcd(f, g):
+    """gcd in Q[x] scaled primitive over Z; an independent check on disc."""
+
+    def primitive(cs):
+        c = 0
+        for v in cs:
+            c = gcd(c, abs(v))
+        return [v // (c or 1) for v in cs]
+
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        r = _prem(a, b)
+        a, b = b, primitive(r) if r else []
+    return UniPoly(primitive(a) if a else [], f.var)
+
+
+def _symmetric_reduce_reference(f):
+    """The dict form of symmetric_reduce: one update per (coefficient,
+    u-degree) pair."""
+    if f.is_zero():
+        return BiPoly({}, ("x", "u")), 0
+    slices = f.u_slices()
+    l = None
+    for sl in slices.values():
+        lo, hi = min(sl), max(sl)
+        if (lo + hi) % 2 != 0:
+            raise NotSymmetrizable("u-slice support has odd span")
+        cand = -(lo + hi) // 2
+        if l is None:
+            l = cand
+        elif l != cand:
+            raise NotSymmetrizable("u-slices need different shifts")
+    basis = _chebyshev_basis(max(max(sl) for sl in slices.values()) + l)
+    out = {}
+    for eu, sl in slices.items():
+        shifted = {e + l: c for e, c in sl.items()}
+        for e, c in shifted.items():
+            if shifted.get(-e) != c:
+                raise NotSymmetrizable("coefficients are not palindromic")
+        if 0 in shifted:
+            out[(0, eu)] = out.get((0, eu), 0) + shifted[0]
+        for e in sorted(k for k in shifted if k > 0):
+            for i, pc in enumerate(basis[e]):
+                if pc:
+                    key = (i, eu)
+                    out[key] = out.get(key, 0) + shifted[e] * pc
+    return BiPoly(out, ("x", "u")), l
 
 
 def test_laurent_arithmetic():
@@ -80,10 +139,46 @@ def test_symmetric_reduce_shift():
 
 
 def test_not_symmetrizable():
-    with pytest.raises(NotSymmetrizable):
-        symmetric_reduce(LaurentBiPoly({(1, 0): 1, (-1, 0): 2}))
-    with pytest.raises(NotSymmetrizable):
+    with pytest.raises(NotSymmetrizable, match="odd span"):
+        symmetric_reduce(LaurentBiPoly({(1, 0): 1, (0, 0): 1}))
+    with pytest.raises(NotSymmetrizable, match="different shifts"):
         symmetric_reduce(LaurentBiPoly({(1, 0): 1, (0, 1): 1}))
+    with pytest.raises(NotSymmetrizable, match="not palindromic"):
+        symmetric_reduce(LaurentBiPoly({(1, 0): 1, (-1, 0): 2}))
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [list(valid_knots(35)), [TwoBridgeKnot(101, 31)], [TwoBridgeKnot(151, 41)]],
+    ids=["m<=35", "b(101,31)", "b(151,41)"],
+)
+def test_symmetric_reduce_matches_dict_reference(knots):
+    for knot in knots:
+        phi = riley_data(knot).phi
+        assert symmetric_reduce(phi) == _symmetric_reduce_reference(phi), knot
+
+
+@st.composite
+def palindromic_laurent(draw):
+    """t^-shift times a sum over u-degrees of palindromic t-slices."""
+    shift = draw(st.integers(-6, 6))
+    terms = {}
+    for eu in draw(st.sets(st.integers(0, 5), max_size=4)):
+        half = draw(st.dictionaries(st.integers(0, 7), coefficients, min_size=1))
+        for e, c in half.items():
+            terms[(e - shift, eu)] = terms[(-e - shift, eu)] = c
+    return LaurentBiPoly(terms), shift
+
+
+@given(palindromic_laurent())
+@settings(max_examples=60, deadline=None)
+def test_symmetric_reduce_on_palindromic_slices(case):
+    f, shift = case
+    Phi, l = symmetric_reduce(f)
+    assert (Phi, l) == _symmetric_reduce_reference(f)
+    if f:
+        assert l == shift
+    assert expand_in_t(Phi, l) == f
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -129,11 +224,21 @@ def substitute_u_term_by_term(f):
 
 
 def test_substitute_u_matches_term_by_term():
-    knots = list(valid_knots(35)) + [TwoBridgeKnot(101, 31)]
+    knots = list(valid_knots(35)) + [TwoBridgeKnot(101, 31), TwoBridgeKnot(151, 41)]
     for f in [BiPoly({}), BiPoly({(0, 0): 7}), BiPoly({(3, 0): -2})] + [
         riley_data(knot).Phi for knot in knots
     ]:
         assert substitute_u(f) == substitute_u_term_by_term(f), f
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 6)), coefficients))
+@settings(max_examples=60, deadline=None)
+@example({})
+@example({(0, 0): -BIG})
+@example({(1, 0): BIG, (0, 3): -BIG, (7, 6): 1})
+def test_substitute_u_on_mixed_parity(terms):
+    f = BiPoly(terms)
+    assert substitute_u(f) == substitute_u_term_by_term(f)
 
 
 def test_discriminant_examples():
